@@ -51,7 +51,6 @@ from .machines import (
     REJECT_EXHAUSTED,
     LbaConfig,
     MachineSpec,
-    RunTree,
     TapeConfig,
     Transition,
     initial_machine_config,

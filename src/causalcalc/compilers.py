@@ -24,6 +24,7 @@ from typing import Iterable
 
 from .core import (
     DEFAULT_NODE_CAP,
+    ComputationTree,
     Configuration,
     Family,
     LazyRange,
@@ -44,7 +45,6 @@ from .errors import (
 from .machines import (
     LbaConfig,
     MachineSpec,
-    RunTree,
     TapeConfig,
     closure_run,
     initial_machine_config,
@@ -351,9 +351,11 @@ def compile_lba_monolithic(
     if tape_len < 1:
         raise ValueError("tape_len must be at least 1")
     rng = WholeConfigRange(spec, tape_len)
-    if rng.size() > max_range_size:
+    # every cell holds one of at least two symbols, so a tape longer than the
+    # cap's bit length is too large without computing the (huge) size
+    if tape_len > max_range_size.bit_length() or rng.size() > max_range_size:
         raise RangeTooLarge(
-            f"whole-config range has {rng.size()} values (cap {max_range_size})"
+            f"whole-config range of a {tape_len}-cell tape exceeds {max_range_size} values"
         )
     sig = Signature(plain=[PlainVar(WHOLE, rng)])
     model = Model(sig, {WHOLE: WholeConfigRule(spec, tape_len)})
@@ -481,7 +483,7 @@ def calc_accepts(
     budget: int,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-) -> tuple[RunTree, str]:
+) -> tuple[ComputationTree, str]:
     """Acceptance verdict computed entirely on the calculator side."""
     root = initial_calc_config(calc, input_str)
     return closure_run(

@@ -36,8 +36,21 @@ def render_value(value: Value) -> str:
     return str(value)
 
 
+def _type_signature(value: Value) -> str:
+    if isinstance(value, tuple):
+        return "(" + ",".join([_type_signature(v) for v in value]) + ")"
+    return value.__class__.__name__
+
+
 def value_key(value: Value):
-    return (render_value(value), value.__class__.__name__)
+    """Sort and identity key: the rendering, then the types, then the value.
+
+    Values of different types never share a key, even when they render alike.
+    The value itself is compared only between values of the same types.
+    """
+    if isinstance(value, tuple):
+        return (render_value(value), _type_signature(value), value)
+    return (str(value), value.__class__.__name__, value)
 
 
 @dataclass(frozen=True)
@@ -179,7 +192,10 @@ class Configuration:
     Family members not listed carry their family default; plain variables and
     overridden members must always be assigned. Equality and hashing use the
     normalized support only, so two configurations that agree everywhere are
-    equal regardless of how they were written down.
+    equal regardless of how they were written down. Values compare by type
+    too, so ``1`` and ``"1"`` differ; the sort order puts renderings first and
+    compares the values themselves only when they render alike, which a valid
+    model's ranges never allow (see ``AmbiguousRendering``).
     """
 
     __slots__ = ("signature", "_map", "_key", "_hash")
@@ -188,7 +204,7 @@ class Configuration:
         self.signature = signature
         self._map = normalized
         self._key = tuple(
-            (var.name, var.index if var.index is not None else 0, render_value(val))
+            (var.name, var.index if var.index is not None else 0, render_value(val), val)
             for var, val in sorted(normalized.items(), key=lambda kv: kv[0].key)
         )
         self._hash = hash(self._key)
@@ -360,6 +376,12 @@ def _context_rows(signature: Signature, domain, probe_vars):
         yield dict(zip(fixed, combo))
 
 
+def _ambiguous(subject: str, values) -> list[Defect]:
+    if isinstance(values, LazyRange) or len({render_value(v) for v in values}) == len(values):
+        return []
+    return [Defect("AmbiguousRendering", subject, "two values render alike")]
+
+
 def validate_model(model: Model) -> list[Defect]:
     """Structural checks; an empty list means the model is well-formed."""
     defects = []
@@ -369,13 +391,11 @@ def validate_model(model: Model) -> list[Defect]:
         n = p.values.size() if isinstance(p.values, LazyRange) else len(p.values)
         if n == 0:
             defects.append(Defect("EmptyRange", p.name, "range has no values"))
-        if isinstance(p.values, frozenset):
-            renders = {render_value(v) for v in p.values}
-            if len(renders) != len(p.values):
-                defects.append(Defect("AmbiguousRendering", p.name, "two values render alike"))
+        defects.extend(_ambiguous(p.name, p.values))
     for fam in sig.families:
         if not fam.values:
             defects.append(Defect("EmptyRange", fam.name, "family range has no values"))
+        defects.extend(_ambiguous(fam.name, fam.values))
         if fam.default not in fam.values:
             defects.append(Defect("BadDefault", fam.name, "default not in family range"))
         if (fam.lo is None) != (fam.hi is None):
@@ -385,6 +405,7 @@ def validate_model(model: Model) -> list[Defect]:
                 defects.append(Defect("OverrideOutOfBounds", f"{fam.name}_{idx}", "index outside family"))
             if not rng:
                 defects.append(Defect("EmptyRange", f"{fam.name}_{idx}", "override range empty"))
+            defects.extend(_ambiguous(f"{fam.name}_{idx}", rng))
 
     names = {p.name for p in sig.plain} | {f.name for f in sig.families}
     for name in names:
@@ -535,7 +556,8 @@ def successor_choices(model: Model, config: Configuration):
         vals = eval_equation(model, var, config)
         if not vals:
             return None
-        choices.append((var, tuple(sorted(vals, key=value_key))))
+        vals = tuple(sorted(vals, key=value_key)) if len(vals) > 1 else tuple(vals)
+        choices.append((var, vals))
     return choices
 
 
@@ -559,20 +581,29 @@ def expand_choices(signature: Signature, choices) -> tuple[Configuration, ...]:
 class ComputationTree:
     """A depth-bounded computation tree with canonical node order.
 
-    Nodes get BFS ids; the children of each node are sorted by configuration
-    key, so equal expansions produce identical trees. Branches can end early
-    when a configuration has no successors.
+    Nodes are model configurations or machine configurations. They get BFS
+    ids; the children of each node come in canonical order, so equal
+    expansions produce identical trees. Branches can end early when a
+    configuration has no successors.
+
+    ``closed`` and ``loops`` stay empty except in closure runs (see
+    :func:`causalcalc.machines.closure_run`): ``closed`` marks leaves whose
+    futures are fully known, ``stuck`` (no successors) or ``loop`` (every
+    successor equals an ancestor on its own branch), and ``loops`` records
+    the skipped back-edges as (node, ancestor, label) triples.
     """
 
     def __init__(self, depth: int):
         self.depth = depth
-        self.nodes: list[Configuration] = []
+        self.nodes: list = []
         self.parent: list[int | None] = []
         self.depth_of: list[int] = []
         self.children: list[list[int]] = []
         self.labels: list[object] = []  # label of the edge into each node
+        self.closed: dict[int, str] = {}
+        self.loops: list[tuple[int, int, object]] = []
 
-    def add_root(self, config: Configuration) -> int:
+    def add_root(self, config) -> int:
         assert not self.nodes
         self.nodes.append(config)
         self.parent.append(None)
@@ -581,7 +612,7 @@ class ComputationTree:
         self.labels.append(None)
         return 0
 
-    def add_child(self, parent_id: int, config: Configuration, label=None) -> int:
+    def add_child(self, parent_id: int, config, label=None) -> int:
         cid = len(self.nodes)
         self.nodes.append(config)
         self.parent.append(parent_id)
@@ -634,6 +665,29 @@ Labeler = Callable[[Configuration, Configuration], object]
 ChoicesFn = Callable[[int, Configuration], Optional[list]]
 
 
+def grow_tree(root, depth: int, children, *, node_cap: int = DEFAULT_NODE_CAP) -> ComputationTree:
+    """Breadth-first expansion to exactly ``depth`` steps.
+
+    ``children(step, node)`` gives the (child, label) pairs born at ``step``,
+    deduplicated and in canonical order. Raises BudgetExceeded (carrying the
+    partial tree) past ``node_cap`` nodes.
+    """
+    tree = ComputationTree(depth)
+    tree.add_root(root)
+    frontier = [0]
+    for step in range(1, depth + 1):
+        next_frontier = []
+        for nid in frontier:
+            for child, label in children(step, tree.nodes[nid]):
+                if tree.node_count >= node_cap:
+                    raise BudgetExceeded(
+                        f"node budget {node_cap} exhausted at step {step}", partial=tree
+                    )
+                next_frontier.append(tree.add_child(nid, child, label))
+        frontier = next_frontier
+    return tree
+
+
 def expand_tree(
     model: Model,
     root: Configuration,
@@ -643,34 +697,24 @@ def expand_tree(
     labeler: Labeler | None = None,
     choices_fn: ChoicesFn | None = None,
 ) -> ComputationTree:
-    """Breadth-first expansion to exactly ``depth`` steps.
+    """The model's computation tree to exactly ``depth`` steps.
 
     ``choices_fn(step, parent)`` can replace the per-variable choice sets for
     the children born at ``step``; interventions are implemented that way.
     Raises BudgetExceeded (carrying the partial tree) past ``node_cap`` nodes.
     """
-    tree = ComputationTree(depth)
-    tree.add_root(root)
-    frontier = [0]
-    for step in range(1, depth + 1):
-        next_frontier = []
-        for nid in frontier:
-            parent_cfg = tree.nodes[nid]
-            if choices_fn is not None:
-                choices = choices_fn(step, parent_cfg)
-            else:
-                choices = successor_choices(model, parent_cfg)
-            if choices is None:
-                continue
-            for child in expand_choices(model.signature, choices):
-                if tree.node_count >= node_cap:
-                    raise BudgetExceeded(
-                        f"node budget {node_cap} exhausted at step {step}", partial=tree
-                    )
-                label = labeler(parent_cfg, child) if labeler else None
-                next_frontier.append(tree.add_child(nid, child, label))
-        frontier = next_frontier
-    return tree
+
+    def children(step, parent):
+        if choices_fn is not None:
+            choices = choices_fn(step, parent)
+        else:
+            choices = successor_choices(model, parent)
+        if choices is None:
+            return ()
+        kids = expand_choices(model.signature, choices)
+        return [(c, labeler(parent, c) if labeler else None) for c in kids]
+
+    return grow_tree(root, depth, children, node_cap=node_cap)
 
 
 TimedAssignment = tuple[VarId, int, Value]

@@ -67,10 +67,6 @@ class InvalidMachineKind(CausalCalcError):
     """A machine spec fails validation or has the wrong kind for an operation."""
 
 
-class NondeterministicDelta(CausalCalcError):
-    """A deterministic compiler was handed a relation with branching rows."""
-
-
 class RangeTooLarge(CausalCalcError):
     """A lazily represented range is too big to materialize."""
 

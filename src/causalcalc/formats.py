@@ -106,6 +106,13 @@ def _str_list(data, key, what) -> list[str]:
     return v
 
 
+def _values(data, key, what) -> list:
+    v = data[key]
+    if not isinstance(v, list):
+        raise FormatError(f"{what}.{key} must be an array of values")
+    return [value_from_json(x) for x in v]
+
+
 # ---------------------------------------------------------------- machines
 
 def machine_to_json(spec: MachineSpec) -> dict:
@@ -226,8 +233,8 @@ def _recompile(meta) -> CalculatorModel:
     kind = _str(meta, "kind", "meta")
     tape_len = meta["tape_len"]
     if kind in ("lba", "lba_mono"):
-        if isinstance(tape_len, bool) or not isinstance(tape_len, int):
-            raise FormatError("meta.tape_len must be an integer for lba models")
+        if isinstance(tape_len, bool) or not isinstance(tape_len, int) or tape_len < 1:
+            raise FormatError("meta.tape_len must be a positive integer for lba models")
         calc = (compile_lba_monolithic if kind == "lba_mono" else compile_lba)(spec, tape_len)
     elif kind == "tm":
         calc = compile_tm(spec)
@@ -264,12 +271,8 @@ def model_from_json(data):
             _require_keys(entry, {"name", "range"}, set(), f"variable {i}")
             if isinstance(entry["range"], dict):
                 raise FormatError(f"variable {i}: lazy ranges exist only in compiled models")
-            plain.append(
-                PlainVar(
-                    _str(entry, "name", f"variable {i}"),
-                    frozenset(value_from_json(v) for v in entry["range"]),
-                )
-            )
+            name = _str(entry, "name", f"variable {i}")
+            plain.append(PlainVar(name, frozenset(_values(entry, "range", f"variable {i}"))))
         elif "family" in entry:
             _require_keys(
                 entry,
@@ -291,18 +294,18 @@ def model_from_json(data):
             if not isinstance(entry.get("overrides", {}), dict):
                 raise FormatError(f"variable {i}: overrides must be an object")
             overrides = {}
-            for key, values in entry.get("overrides", {}).items():
+            for key in entry.get("overrides", {}):
                 try:
                     idx = int(key)
                 except ValueError:
                     raise FormatError(f"variable {i}: override index {key!r}") from None
-                overrides[idx] = frozenset(value_from_json(v) for v in values)
+                overrides[idx] = frozenset(_values(entry["overrides"], key, f"variable {i}.overrides"))
             families.append(
                 Family(
                     _str(entry, "family", f"variable {i}"),
                     lo,
                     hi,
-                    frozenset(value_from_json(v) for v in entry["range"]),
+                    frozenset(_values(entry, "range", f"variable {i}")),
                     value_from_json(entry["default"]),
                     overrides,
                 )
@@ -315,9 +318,8 @@ def model_from_json(data):
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     domains = {}
-    for name, texts in data.get("domains", {}).items():
-        if not isinstance(texts, list):
-            raise FormatError(f"domains.{name} must be an array")
+    for name in data.get("domains", {}):
+        texts = _str_list(data["domains"], name, "domains")
         try:
             domains[name] = tuple(bare.resolve(t) for t in texts)
         except UnknownVariable as exc:
@@ -333,10 +335,9 @@ def model_from_json(data):
             raise FormatError(f"equation {name}: table must be an array")
         rows = {}
         for j, r in enumerate(body["table"]):
-            _require_keys(r, {"row", "out"}, set(), f"equation {name} row {j}")
-            rows[tuple(value_from_json(v) for v in r["row"])] = frozenset(
-                value_from_json(v) for v in r["out"]
-            )
+            what = f"equation {name} row {j}"
+            _require_keys(r, {"row", "out"}, set(), what)
+            rows[tuple(_values(r, "row", what))] = frozenset(_values(r, "out", what))
         equations[name] = TableEquation(rows)
 
     return Model(Signature(plain, families, domains), equations)

@@ -13,12 +13,10 @@ head are the same configuration.
 from __future__ import annotations
 
 import hashlib
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
-from .core import DEFAULT_NODE_CAP, Defect
+from .core import DEFAULT_NODE_CAP, ComputationTree, Defect, grow_tree
 from .errors import (
     BudgetExceeded,
     InputNotInAlphabet,
@@ -278,55 +276,13 @@ def machine_step(spec: MachineSpec, config) -> tuple:
     return tuple(out)
 
 
-class RunTree:
-    """A bounded exploration tree over arbitrary hashable node values.
-
-    ``closed`` marks leaves whose futures are fully known: ``stuck`` (no
-    successors) or ``loop`` (every successor equals an ancestor on its own
-    branch, so the branch repeats forever). ``loops`` records the skipped
-    back-edges as (node, ancestor, label) triples.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nodes: list = []
-        self.parent: list[int | None] = []
-        self.depth_of: list[int] = []
-        self.children: list[list[int]] = []
-        self.labels: list = []
-        self.closed: dict[int, str] = {}
-        self.loops: list[tuple[int, int, object]] = []
-
-    def add_root(self, node) -> int:
-        assert not self.nodes
-        self.nodes.append(node)
-        self.parent.append(None)
-        self.depth_of.append(0)
-        self.children.append([])
-        self.labels.append(None)
-        return 0
-
-    def add_child(self, parent_id: int, node, label) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(node)
-        self.parent.append(parent_id)
-        self.depth_of.append(self.depth_of[parent_id] + 1)
-        self.children.append([])
-        self.labels.append(label)
-        self.children[parent_id].append(nid)
-        return nid
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    def ancestor_with(self, nid: int, node) -> int | None:
-        cur: int | None = nid
-        while cur is not None:
-            if self.nodes[cur] == node:
-                return cur
-            cur = self.parent[cur]
-        return None
+def _ancestor_with(tree: ComputationTree, nid: int, node) -> int | None:
+    cur: int | None = nid
+    while cur is not None:
+        if tree.nodes[cur] == node:
+            return cur
+        cur = tree.parent[cur]
+    return None
 
 
 def closure_run(
@@ -336,15 +292,15 @@ def closure_run(
     budget: int,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    sort_key=None,
-) -> tuple[RunTree, str]:
+) -> tuple[ComputationTree, str]:
     """Expand breadth-first with per-branch loop closure and a verdict.
 
-    ``successors_fn(node) -> [(node, label)]``. Expansion stops at the first
-    level containing an accepting node, when every branch is closed, or at
-    ``budget`` steps, whichever comes first.
+    ``successors_fn(node)`` gives (node, label) pairs, deduplicated and in
+    canonical order. Expansion stops at the first level containing an
+    accepting node, when every branch is closed, or at ``budget`` steps,
+    whichever comes first.
     """
-    tree = RunTree(budget)
+    tree = ComputationTree(budget)
     tree.add_root(root)
     if is_final(root):
         return tree, ACCEPT
@@ -353,19 +309,13 @@ def closure_run(
         next_frontier = []
         accepted = False
         for nid in frontier:
-            succs = list(successors_fn(tree.nodes[nid]))
-            if sort_key is not None:
-                succs.sort(key=lambda pair: sort_key(pair[0]))
+            succs = successors_fn(tree.nodes[nid])
             if not succs:
                 tree.closed[nid] = "stuck"
                 continue
             fresh = 0
-            seen_here = set()
             for child, label in succs:
-                if child in seen_here:
-                    continue
-                seen_here.add(child)
-                back = tree.ancestor_with(nid, child)
+                back = _ancestor_with(tree, nid, child)
                 if back is not None:
                     tree.loops.append((nid, back, label))
                     continue
@@ -386,40 +336,27 @@ def closure_run(
     return tree, NO_ACCEPT_WITHIN_BUDGET
 
 
-def plain_run(
-    root,
-    successors_fn,
-    depth: int,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-    sort_key=None,
-) -> RunTree:
-    """Expand to exactly ``depth`` steps with sibling dedup, no loop closure."""
-    tree = RunTree(depth)
-    tree.add_root(root)
-    frontier = [0]
-    for _ in range(depth):
-        next_frontier = []
-        for nid in frontier:
-            succs = list(successors_fn(tree.nodes[nid]))
-            if sort_key is not None:
-                succs.sort(key=lambda pair: sort_key(pair[0]))
-            seen_here = set()
-            for child, label in succs:
-                if child in seen_here:
-                    continue
-                seen_here.add(child)
-                if tree.node_count >= node_cap:
-                    raise BudgetExceeded(f"node cap {node_cap} hit in run tree", partial=tree)
-                next_frontier.append(tree.add_child(nid, child, label))
-        frontier = next_frontier
-    return tree
+def plain_run(root, successors_fn, depth: int, *, node_cap: int = DEFAULT_NODE_CAP) -> ComputationTree:
+    """Expand to exactly ``depth`` steps without loop closure."""
+    return grow_tree(root, depth, lambda _, node: successors_fn(node), node_cap=node_cap)
 
 
 def _config_sort_key(config) -> tuple:
     if isinstance(config, LbaConfig):
         return (config.state, config.head, config.tape)
     return (config.state, config.cells)
+
+
+def _machine_children(spec: MachineSpec, cfg) -> list:
+    """Successors as (config, (transition, move)) pairs in canonical order.
+
+    When two transitions reach the same configuration, the first label in
+    transition order is kept.
+    """
+    kids = {}
+    for child, t, d in sorted(machine_step(spec, cfg), key=lambda s: _config_sort_key(s[0])):
+        kids.setdefault(child, (t, d))
+    return list(kids.items())
 
 
 def run_machine(
@@ -429,7 +366,7 @@ def run_machine(
     *,
     tape_len: int | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
-) -> tuple[RunTree, str]:
+) -> tuple[ComputationTree, str]:
     """Run tree plus acceptance verdict for an input string.
 
     ACCEPT: some reachable configuration is in a final state within budget.
@@ -440,11 +377,10 @@ def run_machine(
     root = initial_machine_config(spec, input_str, tape_len)
     return closure_run(
         root,
-        lambda cfg: [(c, (t, d)) for c, t, d in machine_step(spec, cfg)],
+        lambda cfg: _machine_children(spec, cfg),
         lambda cfg: cfg.state in spec.finals,
         budget,
         node_cap=node_cap,
-        sort_key=_config_sort_key,
     )
 
 
@@ -455,14 +391,8 @@ def machine_tree(
     *,
     tape_len: int | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
-) -> RunTree:
+) -> ComputationTree:
     """Depth-exact run tree (final states keep self-looping); for comparison."""
     require_valid(spec)
     root = initial_machine_config(spec, input_str, tape_len)
-    return plain_run(
-        root,
-        lambda cfg: [(c, (t, d)) for c, t, d in machine_step(spec, cfg)],
-        depth,
-        node_cap=node_cap,
-        sort_key=_config_sort_key,
-    )
+    return plain_run(root, lambda cfg: _machine_children(spec, cfg), depth, node_cap=node_cap)

@@ -106,22 +106,29 @@ def successor_set(calc: CalculatorModel, cfg: Configuration) -> frozenset:
 
 def expand(calc: CalculatorModel, cfg: Configuration, depth: int) -> dict:
     """Nested-dict computation tree with canonically ordered children."""
-    node = {"config": cfg, "children": []}
-    if depth > 0:
+    root = {"config": cfg, "children": []}
+    stack = [(root, depth)]
+    while stack:
+        node, left = stack.pop()
+        if left <= 0:
+            continue
         dedup = {}
-        for child in _BY_KIND[calc.kind](calc, cfg):
+        for child in _BY_KIND[calc.kind](calc, node["config"]):
             dedup.setdefault(child.sort_key, child)
-        node["children"] = [
-            expand(calc, dedup[k], depth - 1) for k in sorted(dedup)
-        ]
-    return node
+        node["children"] = [{"config": dedup[k], "children": []} for k in sorted(dedup)]
+        stack.extend((kid, left - 1) for kid in node["children"])
+    return root
 
 
 def matches_tree(ref: dict, tree, node_id: int = 0) -> bool:
     """Structural equality of a nested-dict tree against a ComputationTree."""
-    if ref["config"] != tree.nodes[node_id]:
-        return False
-    kids = tree.children[node_id]
-    if len(kids) != len(ref["children"]):
-        return False
-    return all(matches_tree(r, tree, k) for r, k in zip(ref["children"], kids))
+    stack = [(ref, node_id)]
+    while stack:
+        node, nid = stack.pop()
+        if node["config"] != tree.nodes[nid]:
+            return False
+        kids = tree.children[nid]
+        if len(kids) != len(node["children"]):
+            return False
+        stack.extend(zip(node["children"], kids))
+    return True

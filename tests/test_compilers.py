@@ -225,6 +225,8 @@ def test_whole_config_range_membership(parity_spec):
 def test_monolithic_compile_honors_the_size_cap(parity_spec):
     with pytest.raises(RangeTooLarge):
         compile_lba_monolithic(parity_spec, 2, max_range_size=100)
+    with pytest.raises(RangeTooLarge):
+        compile_lba_monolithic(parity_spec, 100_000)  # too long to even size
     calc = compile_lba_monolithic(parity_spec, 2)
     assert calc.kind == "lba_mono"
 

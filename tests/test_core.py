@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from causalcalc import (
     ComputationTree,
+    Configuration,
     Family,
     Model,
     OverrideEquation,
@@ -21,6 +22,7 @@ from causalcalc import (
     successors,
     validate_model,
 )
+from causalcalc.core import value_key
 from causalcalc.errors import (
     BudgetExceeded,
     MissingDomainValue,
@@ -220,6 +222,23 @@ def test_validate_model_catches_ambiguous_rendering_and_default_leak():
     fam = Family("F", None, None, frozenset({0, 1}), 0)
     leaky = Model(Signature(families=[fam]), {"F": Leak()})
     assert "DefaultLeak" in {d.code for d in validate_model(leaky)}
+
+
+def test_values_compare_by_type_and_family_ranges_must_render_apart():
+    y0 = VarId("Y", 0)
+    sig = Signature(families=[Family("Y", 0, 1, frozenset({0, 1, "1"}), 0)])
+    assert Configuration.make(sig, {y0: 1}) != Configuration.make(sig, {y0: "1"})
+    assert len({Configuration.make(sig, {y0: 1}), Configuration.make(sig, {y0: "1"})}) == 2
+    assert [d.subject for d in validate_model(Model(sig, {})) if d.code == "AmbiguousRendering"] == ["Y"]
+
+    # members of tuples compare by type too, and mixed keys still sort
+    pair = frozenset({(1, "a"), ("1", "a"), "(1,a)"})
+    z1 = VarId("Z", 1)
+    fam = Family("Z", 0, 1, frozenset({0}), 0, overrides={1: pair})
+    sig = Signature(families=[fam])
+    assert len({Configuration.make(sig, {z1: v}) for v in pair}) == 3
+    assert sorted(pair, key=value_key) == [(1, "a"), ("1", "a"), "(1,a)"]
+    assert [d.subject for d in validate_model(Model(sig, {})) if d.code == "AmbiguousRendering"] == ["Z_1"]
 
 
 def test_override_equation_touches_exactly_one_row(counter):

@@ -130,6 +130,17 @@ def test_reference_interpreter_sees_the_corruption(parity_spec):
     )
 
 
+def test_reference_tree_survives_deep_runs(parity_spec):
+    # deeper than Python's recursion limit: parity on "11" accepts at step 4
+    # and then self-loops, so the tree is a 1,501-node chain
+    mono = compile_lba_monolithic(parity_spec, 2)
+    root = mono.initial("11")
+    ref = reference.expand(mono, root, 1500)
+    tree = expand_tree(mono.model, root, 1500)
+    assert tree.node_count == 1501
+    assert reference.matches_tree(ref, tree)
+
+
 def test_walk_node_cap_is_reported_not_raised(sweep_spec):
     calc = compile_lba(sweep_spec, 2)
     report = check_equivalence(sweep_spec, calc, "ab", 6, node_cap=3)
