@@ -191,6 +191,8 @@ def _cmd_compile(args) -> int:
     spec = machine_from_json(_load_json(args.machine))
     if spec.kind == "lba" and args.tape_len is None:
         raise CliUsage("--tape-len is required for lba machines")
+    if spec.kind == "lba" and args.tape_len < 1:
+        raise CliUsage("--tape-len must be at least 1")
     calc = compile_machine(spec, tape_len=args.tape_len, monolithic=args.monolithic)
     _emit(model_to_json(calc), args.out)
     return 0

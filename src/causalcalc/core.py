@@ -666,11 +666,13 @@ ChoicesFn = Callable[[int, Configuration], Optional[list]]
 
 
 def grow_tree(root, depth: int, children, *, node_cap: int = DEFAULT_NODE_CAP) -> ComputationTree:
-    """Breadth-first expansion to exactly ``depth`` steps.
+    """Breadth-first expansion to at most ``depth`` steps.
 
-    ``children(step, node)`` gives the (child, label) pairs born at ``step``,
-    deduplicated and in canonical order. Raises BudgetExceeded (carrying the
-    partial tree) past ``node_cap`` nodes.
+    ``children(tree, nid)`` gives the (child, label) pairs of node ``nid``,
+    deduplicated and in canonical order; it may read the tree built so far
+    and mark its ``closed`` and ``loops``. Expansion stops early when a level
+    comes out empty. Raises BudgetExceeded (carrying the partial tree) past
+    ``node_cap`` nodes.
     """
     tree = ComputationTree(depth)
     tree.add_root(root)
@@ -678,12 +680,14 @@ def grow_tree(root, depth: int, children, *, node_cap: int = DEFAULT_NODE_CAP) -
     for step in range(1, depth + 1):
         next_frontier = []
         for nid in frontier:
-            for child, label in children(step, tree.nodes[nid]):
+            for child, label in children(tree, nid):
                 if tree.node_count >= node_cap:
                     raise BudgetExceeded(
                         f"node budget {node_cap} exhausted at step {step}", partial=tree
                     )
                 next_frontier.append(tree.add_child(nid, child, label))
+        if not next_frontier:
+            break
         frontier = next_frontier
     return tree
 
@@ -704,9 +708,10 @@ def expand_tree(
     Raises BudgetExceeded (carrying the partial tree) past ``node_cap`` nodes.
     """
 
-    def children(step, parent):
+    def children(tree, nid):
+        parent = tree.nodes[nid]
         if choices_fn is not None:
-            choices = choices_fn(step, parent)
+            choices = choices_fn(tree.depth_of[nid] + 1, parent)
         else:
             choices = successor_choices(model, parent)
         if choices is None:

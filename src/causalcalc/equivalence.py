@@ -1,12 +1,14 @@
 """Bounded-depth equivalence between a machine and its compiled calculator.
 
-The deterministic kind walks the single run and compares the translated
-machine configuration against the calculator configuration step by step. The
-branching kinds walk both trees in lockstep, matching children by (move label,
-decoded machine configuration); since both sides are deduplicated the match
-must be a bijection at every node. A fraction of visited calculator nodes is
-re-expanded through the independent reference interpreter as a cross-check on
-the successor computation itself.
+One lockstep walk serves every calculator kind. It expands the machine's run
+tree and the calculator's computation tree level by level, matching the
+children of each node pair by (move label, decoded machine configuration);
+since both sides are deduplicated the match must be a bijection at every
+node. A deterministic TM run is that walk with one child per node. The walk
+stops at the first mismatch and reports it at the label path of the pair
+whose children disagree. A fraction of visited calculator nodes is
+re-expanded through the independent reference interpreter as a cross-check
+on the successor computation itself.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .compilers import (
     calc_accepts,
     decode_config,
     edge_label,
-    encode_tm_config,
     initial_calc_config,
 )
 from .errors import KindMismatch, UndecodableConfig
@@ -90,61 +91,10 @@ def check_equivalence(
     seed: int = 0,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> EquivReport:
+    """Walk machine and calculator in lockstep for ``depth`` steps."""
     _compat(spec, calc)
-    if calc.kind == "tm":
-        return _check_deterministic(spec, calc, input_str, depth, recheck_fraction, seed)
-    return _check_branching(
-        spec, calc, input_str, depth, recheck_fraction, seed, node_cap
-    )
-
-
-def _check_deterministic(spec, calc, input_str, depth, recheck_fraction, seed) -> EquivReport:
     report = EquivReport(True, calc.kind, input_str, depth)
-    m = initial_machine_config(spec, input_str)
-    c = initial_calc_config(calc, input_str)
-    visited = []
-    path: list[int] = []
-    for step in range(depth + 1):
-        report.machine_nodes.append(1)
-        report.calc_nodes.append(1)
-        visited.append(c)
-        if encode_tm_config(calc, m) != c:
-            report.equivalent = False
-            report.counterexample = Counterexample(
-                "translation_mismatch",
-                tuple(path),
-                f"translated machine configuration differs at step {step}",
-                machine_config=m,
-                calc_config=c,
-            )
-            return report
-        if step == depth:
-            break
-        (m, _, move), = machine_step(spec, m)
-        succ = successors(calc.model, c)
-        if len(succ) != 1:
-            report.equivalent = False
-            report.counterexample = Counterexample(
-                "branching_mismatch",
-                tuple(path),
-                f"calculator offers {len(succ)} successors on a deterministic run",
-                machine_config=m,
-                calc_config=c,
-            )
-            return report
-        c = succ[0]
-        path.append(move)
-    report.rechecked, bad = _recheck(calc, visited, recheck_fraction, seed)
-    if bad is not None:
-        report.equivalent = False
-        report.counterexample = bad
-    return report
-
-
-def _check_branching(spec, calc, input_str, depth, recheck_fraction, seed, node_cap) -> EquivReport:
-    report = EquivReport(True, calc.kind, input_str, depth)
-    tape_len = calc.tape_len if spec.kind == "lba" else None
-    mroot = initial_machine_config(spec, input_str, tape_len)
+    mroot = initial_machine_config(spec, input_str, calc.tape_len)
     croot = initial_calc_config(calc, input_str)
     visited = [croot]
 
@@ -230,10 +180,9 @@ def check_acceptance_matrix(
 ) -> MatrixReport:
     """Acceptance verdicts computed on both sides, input by input."""
     _compat(spec, calc)
-    tape_len = calc.tape_len if spec.kind == "lba" else None
     rows = []
     for s in inputs:
-        _, mv = run_machine(spec, s, budget, tape_len=tape_len, node_cap=node_cap)
+        _, mv = run_machine(spec, s, budget, tape_len=calc.tape_len, node_cap=node_cap)
         _, cv = calc_accepts(calc, s, budget, node_cap=node_cap)
         rows.append(MatrixRow(s, mv, cv))
     return MatrixReport(rows)

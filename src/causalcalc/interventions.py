@@ -87,10 +87,6 @@ class InterventionSpec:
             out.setdefault(a.step, {})[a.var] = a.value
         return out
 
-    @property
-    def max_step(self) -> int:
-        return max((a.step for a in self.atoms), default=0)
-
     def render(self) -> str:
         return ",".join(a.render() for a in self.atoms)
 
@@ -106,10 +102,6 @@ class StructureInterventionSpec:
             if key in seen:
                 raise DuplicateAtom(a.render())
             seen.add(key)
-
-    @property
-    def max_step(self) -> int:
-        return max((a.step for a in self.atoms), default=0)
 
 
 def _check_atom(model: Model, atom: Atom):

@@ -18,10 +18,8 @@ from functools import cached_property
 
 from .core import DEFAULT_NODE_CAP, ComputationTree, Defect, grow_tree
 from .errors import (
-    BudgetExceeded,
     InputNotInAlphabet,
     InputTooLong,
-    InvalidMachineKind,
     MalformedConfig,
     StuckConfiguration,
     ValidationFailed,
@@ -58,7 +56,7 @@ class MachineSpec:
     left_marker: str = ">"
     right_marker: str = "<"
 
-    @property
+    @cached_property
     def tape_alphabet(self) -> tuple[str, ...]:
         extras = [self.blank]
         if self.kind == "lba":
@@ -295,50 +293,55 @@ def closure_run(
 ) -> tuple[ComputationTree, str]:
     """Expand breadth-first with per-branch loop closure and a verdict.
 
-    ``successors_fn(node)`` gives (node, label) pairs, deduplicated and in
-    canonical order. Expansion stops at the first level containing an
-    accepting node, when every branch is closed, or at ``budget`` steps,
-    whichever comes first.
+    A client of :func:`causalcalc.core.grow_tree`. ``successors_fn(node)``
+    gives (node, label) pairs, deduplicated and in canonical order. A
+    successor equal to an ancestor on its own branch becomes a back-edge in
+    ``tree.loops`` instead of a node, and a node left without new children
+    is marked in ``tree.closed``. Nodes on the first level that holds an
+    accepting node are not expanded, so the run ends there, when every
+    branch is closed, or at ``budget`` steps. The verdict is read off the
+    finished tree: ACCEPT if some level accepted, REJECT_EXHAUSTED if the
+    tree ended short of ``budget``, NO_ACCEPT_WITHIN_BUDGET otherwise.
     """
-    tree = ComputationTree(budget)
-    tree.add_root(root)
-    if is_final(root):
-        return tree, ACCEPT
-    frontier = [0]
-    for _ in range(budget):
-        next_frontier = []
-        accepted = False
-        for nid in frontier:
-            succs = successors_fn(tree.nodes[nid])
-            if not succs:
-                tree.closed[nid] = "stuck"
+    accepted_at = 0 if is_final(root) else None
+
+    def children(tree, nid):
+        nonlocal accepted_at
+        step = tree.depth_of[nid] + 1
+        if accepted_at is not None and step > accepted_at:
+            return ()
+        succs = successors_fn(tree.nodes[nid])
+        if not succs:
+            tree.closed[nid] = "stuck"
+            return ()
+        fresh = []
+        for child, label in succs:
+            back = _ancestor_with(tree, nid, child)
+            if back is not None:
+                tree.loops.append((nid, back, label))
                 continue
-            fresh = 0
-            for child, label in succs:
-                back = _ancestor_with(tree, nid, child)
-                if back is not None:
-                    tree.loops.append((nid, back, label))
-                    continue
-                if tree.node_count >= node_cap:
-                    raise BudgetExceeded(f"node cap {node_cap} hit in run tree", partial=tree)
-                cid = tree.add_child(nid, child, label)
-                fresh += 1
-                next_frontier.append(cid)
-                if is_final(child):
-                    accepted = True
-            if fresh == 0:
-                tree.closed[nid] = "loop"
-        frontier = next_frontier
-        if accepted:
-            return tree, ACCEPT
-        if not frontier:
-            return tree, REJECT_EXHAUSTED
+            fresh.append((child, label))
+            if accepted_at is None and is_final(child):
+                accepted_at = step
+        if not fresh:
+            tree.closed[nid] = "loop"
+        return fresh
+
+    tree = grow_tree(root, budget, children, node_cap=node_cap)
+    if accepted_at is not None:
+        return tree, ACCEPT
+    if tree.depth_of[-1] < budget:
+        return tree, REJECT_EXHAUSTED
     return tree, NO_ACCEPT_WITHIN_BUDGET
 
 
 def plain_run(root, successors_fn, depth: int, *, node_cap: int = DEFAULT_NODE_CAP) -> ComputationTree:
-    """Expand to exactly ``depth`` steps without loop closure."""
-    return grow_tree(root, depth, lambda _, node: successors_fn(node), node_cap=node_cap)
+    """Expand to ``depth`` steps without loop closure, or until every branch has died."""
+
+    def children(tree, nid):
+        return successors_fn(tree.nodes[nid])
+
+    return grow_tree(root, depth, children, node_cap=node_cap)
 
 
 def _config_sort_key(config) -> tuple:

@@ -103,8 +103,9 @@ def test_criterion_1_deterministic_machine_agreement(capsys):
             _, calc_verdict = calc_accepts(TM_CALC, word, 100)
             assert machine_verdict == calc_verdict, word
             accepted += machine_verdict == ACCEPT
-            # the deterministic walk re-translates the configuration at
-            # every step, which is the per-step agreement being claimed
+            # the lockstep walk decodes the calculator configuration at every
+            # step and matches it against the machine's, which is the
+            # per-step agreement being claimed
             report = check_equivalence(TM, TM_CALC, word, 20)
             assert report.equivalent, (word, report.counterexample)
         assert accepted == 12  # two strictly alternating strings per length

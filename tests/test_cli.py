@@ -70,6 +70,15 @@ def test_compile_lba_requires_tape_len(capsys, parity_file):
     assert "tape-len" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--tape-len", "0"], ["--tape-len", "-2"], ["--tape-len", "0", "--monolithic"]],
+)
+def test_compile_lba_rejects_tape_len_below_one(capsys, parity_file, extra):
+    assert main(["compile", parity_file, *extra]) == 1
+    assert "--tape-len must be at least 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------- run
 
 def test_run_compiled_model_by_input(capsys, parity_model_file):

@@ -110,6 +110,20 @@ def test_single_corrupted_row_breaks_equivalence(parity_spec):
     assert pristine.equivalent
 
 
+def test_tm_mutant_is_reported_at_the_parent_pair(tm_spec):
+    calc = compile_tm(tm_spec)
+    # on "0101" the machine is in e1 over "1" after one step; send it to ra
+    equations = dict(calc.model.equations)
+    equations["S"] = OverrideEquation(calc.model, "S", {(None, ("e1", "1")): {"ra"}})
+    mutant = dataclasses.replace(calc, model=Model(calc.model.signature, equations))
+    report = check_equivalence(tm_spec, mutant, "0101", 6)
+    assert not report.equivalent
+    assert report.counterexample.kind == "successor_mismatch"
+    assert report.counterexample.path == (1,)
+    assert report.counterexample.machine_config.state == "e1"
+    assert report.machine_nodes == report.calc_nodes == [1, 1]
+
+
 def test_corruption_that_breaks_decoding(parity_spec):
     calc = compile_lba(parity_spec, 2)
     mutant = corrupted(calc, ROOT_ROW, {("even", ">", -1)})
@@ -141,10 +155,12 @@ def test_reference_tree_survives_deep_runs(parity_spec):
     assert reference.matches_tree(ref, tree)
 
 
-def test_walk_node_cap_is_reported_not_raised(sweep_spec):
+def test_walk_node_cap_is_reported_not_raised(sweep_spec, tm_spec):
     calc = compile_lba(sweep_spec, 2)
     report = check_equivalence(sweep_spec, calc, "ab", 6, node_cap=3)
     assert not report.equivalent
+    assert report.counterexample.kind == "node_cap"
+    report = check_equivalence(tm_spec, compile_tm(tm_spec), "01", 5, node_cap=3)
     assert report.counterexample.kind == "node_cap"
 
 

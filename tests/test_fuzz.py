@@ -1,10 +1,12 @@
-"""Fuzzers for the model file boundary.
+"""Fuzzers for the model file and command-line boundaries.
 
 Random JSON, and valid model files with one field swapped for random JSON,
 must either load or fail with a package error; through the CLI they must end
-in a documented exit code, never a traceback.
+in a documented exit code, never a traceback. So must random command lines
+built from the CLI's own parser over the shared fixture files.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,11 +14,21 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalcalc import compile_lba_monolithic
-from causalcalc.cli import main
+from causalcalc import compile_lba, compile_lba_monolithic, compile_ntm, compile_tm
+from causalcalc.cli import _build_parser, main
 from causalcalc.errors import CausalCalcError
-from causalcalc.formats import dumps_canonical, model_from_json, model_to_json
-from conftest import counter_model, parity_lba, two_var_model
+from causalcalc.formats import dumps_canonical, machine_to_json, model_from_json, model_to_json
+from conftest import (
+    abc_lba,
+    alternation_tm,
+    constant_one_model,
+    counter_model,
+    guess_ntm,
+    parity_lba,
+    sweep_lba,
+    two_var_model,
+    walkback_lba,
+)
 
 FAMILY_DOC = {
     "variables": [
@@ -147,3 +159,106 @@ def test_malformed_files_are_format_errors(tmp_path, capsys, doc):
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["run", str(path), "--depth", "1", "--root", "{}"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# ------------------------------------------------------------ random argv
+
+MACHINES = {
+    "parity": parity_lba(),
+    "abc": abc_lba(),
+    "sweep": sweep_lba(),
+    "walkback": walkback_lba(),
+    "alternation": alternation_tm(),
+    "guess": guess_ntm(),
+}
+MODELS = {
+    "counter": model_to_json(counter_model()),
+    "two_var": model_to_json(two_var_model()),
+    "one": model_to_json(constant_one_model()),
+    "parity_lba": model_to_json(compile_lba(parity_lba(), 2)),
+    "parity_mono": model_to_json(compile_lba_monolithic(parity_lba(), 2)),
+    "alternation_tm": model_to_json(compile_tm(alternation_tm())),
+    "guess_ntm": model_to_json(compile_ntm(guess_ntm())),
+}
+
+# Values for the string options, shaped like real requests on the fixture
+# files; random text is drawn next to them.
+STRINGS = {
+    "input": ["", "0", "1", "01", "11", "0101", "abc", "x"],
+    "inputs": ["", ",0,1,11", "01,10", "abc,x"],
+    "root": ['{"X": 8}', '{"A": 0, "B": 1}', '{"X": 1}', "{}", "[]", "{", '{"X": "8"}'],
+    "do_atoms": ["X@1=5", "X@0=8", "A@1=1", "X@9=0", "S@1=acc", "X_1@1=1", "X@-1=0", "X@1="],
+    "rewrite": ["X@1(X=1)=0", "X@3(X=1)=0,X@3(X=0)=0", "A@1(B=0)=1", "X@1(Y=1)=0", "X@1(X=1"],
+    "candidate": ["X@0=8", "X@1=9", "A@0=0", "S@0=s", "X_1@0=1", "X@0"],
+    "outcome": ["X@2=9", "X@1=0", "B@2=1", "S@3=acc", "X@99=1", "X@2"],
+    "vars": ["X", "A,B", "X_0..X_2", "X_*", "X_2..X_0", "Q"],
+    "steps": ["0", "1", "0..2", "2..0", "0,1", "-1", "x"],
+}
+TEXT = st.text(alphabet='XABS_@=(),.01#*-{}":', max_size=8)
+
+
+def _subcommands():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(sub.choices.items())
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Positional file choices per argument name, plus an output directory."""
+    base = tmp_path_factory.mktemp("argv")
+
+    def write(name, doc):
+        path = base / f"{name}.json"
+        path.write_text(doc if isinstance(doc, str) else dumps_canonical(doc))
+        return str(path)
+
+    broken = [write("garbled", "{not json"), str(base / "missing.json")]
+    machines = [write(n, machine_to_json(spec)) for n, spec in MACHINES.items()] + broken
+    models = [write(f"{n}_model", doc) for n, doc in MODELS.items()] + broken
+    out_dir = base / "out"
+    out_dir.mkdir()
+    files = {"machine": machines, "model": models, "file": machines + models}
+    return files, out_dir
+
+
+def _value(action, out_dir):
+    if action.dest == "out":
+        return st.sampled_from([str(out_dir / "result.json"), str(out_dir)])
+    if action.type is int:
+        numbers = st.integers(-2, 3).map(str) | st.sampled_from(["x", ""])
+        if action.choices:
+            return st.sampled_from([str(c) for c in action.choices]) | numbers
+        return numbers
+    if action.choices:
+        return st.sampled_from(list(action.choices)) | TEXT
+    return st.sampled_from(STRINGS[action.dest]) | TEXT
+
+
+@st.composite
+def argvs(draw, files, out_dir):
+    """A subcommand with its positionals, its required options and a random
+    subset of the others; ``-h/--help`` exits through argparse by design."""
+    name, sub = draw(st.sampled_from(_subcommands()))
+    argv = [name]
+    for action in sub._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:
+            argv.append(draw(st.sampled_from(files[action.dest])))
+        elif action.required or draw(st.booleans()):
+            argv.append(action.option_strings[0])
+            if action.nargs != 0:
+                argv.append(draw(_value(action, out_dir)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_on_random_argv_ends_in_an_exit_code(cli_files, data):
+    files, out_dir = cli_files
+    argv = data.draw(argvs(files, out_dir), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from causalcalc import (
@@ -8,6 +10,8 @@ from causalcalc import (
     MachineSpec,
     TapeConfig,
     Transition,
+    compile_lba,
+    expand_tree,
     initial_machine_config,
     machine_step,
     machine_tree,
@@ -303,3 +307,18 @@ def test_run_node_cap(abc_spec):
     with pytest.raises(BudgetExceeded) as err:
         run_machine(abc_spec, "aabbcc", 200, node_cap=5)
     assert err.value.partial.node_count == 5
+
+
+def test_dead_runs_stop_at_the_last_live_level(parity_spec):
+    # parity gets stuck on "1" at the right end of a one-cell tape, so every
+    # tree is a 3-node chain however deep it was asked to go
+    start = time.perf_counter()
+    tree = machine_tree(parity_spec, "1", 10**9)
+    assert (tree.node_count, tree.depth) == (3, 10**9)
+    calc = compile_lba(parity_spec, 1)
+    tree = expand_tree(calc.model, calc.initial("1"), 10**9)
+    assert (tree.node_count, tree.depth) == (3, 10**9)
+    tree, verdict = run_machine(parity_spec, "1", 10**9)
+    assert verdict == REJECT_EXHAUSTED
+    assert tree.closed == {2: "stuck"}
+    assert time.perf_counter() - start < 5
