@@ -79,7 +79,7 @@ from .equivalence import (
     check_acceptance_matrix,
     check_equivalence,
 )
-from . import errors, formats, reference
+from . import cli, errors, formats, reference
 
 __version__ = "0.1.0"
 

@@ -72,6 +72,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsage(message)
 
 
+class _Bound(argparse.Action):
+    """A --depth or --budget value: an integer of at least 0."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be at least 0, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="causalcalc", description="causal calculators for machine runs")
     sub = p.add_subparsers(dest="command", required=True)
@@ -91,13 +100,13 @@ def _build_parser() -> _Parser:
 
     r = sub.add_parser("run", help="expand a computation tree")
     r.add_argument("model")
-    r.add_argument("--depth", type=int, required=True)
+    r.add_argument("--depth", type=int, action=_Bound, required=True)
     common(r, root=True)
 
     a = sub.add_parser("accepts", help="acceptance verdict for an input")
     a.add_argument("file", help="machine file or compiled model file")
     a.add_argument("--input", required=True)
-    a.add_argument("--budget", type=int, required=True)
+    a.add_argument("--budget", type=int, action=_Bound, required=True)
     a.add_argument("--tape-len", type=int, help="tape cells when running a raw lba machine")
     common(a)
 
@@ -106,14 +115,14 @@ def _build_parser() -> _Parser:
     b.add_argument("model")
     b.add_argument("--input", help="single input: tree equivalence to --depth")
     b.add_argument("--inputs", help="comma-separated inputs: acceptance matrix to --budget")
-    b.add_argument("--depth", type=int)
-    b.add_argument("--budget", type=int)
+    b.add_argument("--depth", type=int, action=_Bound)
+    b.add_argument("--budget", type=int, action=_Bound)
     b.add_argument("--seed", type=int, default=0)
     common(b)
 
     i = sub.add_parser("intervene", help="expand a tree under an intervention")
     i.add_argument("model")
-    i.add_argument("--depth", type=int, required=True)
+    i.add_argument("--depth", type=int, action=_Bound, required=True)
     i.add_argument("--do", dest="do_atoms", help="value atoms, e.g. 'X@1=5,Y@0=a'")
     i.add_argument("--rewrite", help="rewrite atoms, e.g. 'X@3(X=1)=0'")
     common(i, root=True)

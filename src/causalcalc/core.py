@@ -549,10 +549,24 @@ def active_variables(model: Model, config: Configuration) -> list[VarId]:
     return out
 
 
-def successor_choices(model: Model, config: Configuration):
-    """Per-variable choice sets for the next step, or None for a dead config."""
+def successor_choices(
+    model: Model, config: Configuration, forced: Mapping[VarId, Value] | None = None
+):
+    """Per-variable choice sets for the next step, or None for a dead config.
+
+    ``forced`` gives variables the single value they take next; their
+    equations are not evaluated, so a forced value applies even where the
+    equation has no successor. Forced variables outside the active set join
+    it, in key order.
+    """
+    targets = active_variables(model, config)
+    if forced:
+        targets = sorted(forced.keys() | set(targets), key=lambda v: v.key)
     choices = []
-    for var in active_variables(model, config):
+    for var in targets:
+        if forced and var in forced:
+            choices.append((var, (forced[var],)))
+            continue
         vals = eval_equation(model, var, config)
         if not vals:
             return None
@@ -662,7 +676,7 @@ class ComputationTree:
 
 
 Labeler = Callable[[Configuration, Configuration], object]
-ChoicesFn = Callable[[int, Configuration], Optional[list]]
+ForcedFn = Callable[[int, Configuration], Optional[Mapping[VarId, Value]]]
 
 
 def grow_tree(root, depth: int, children, *, node_cap: int = DEFAULT_NODE_CAP) -> ComputationTree:
@@ -699,21 +713,20 @@ def expand_tree(
     *,
     node_cap: int = DEFAULT_NODE_CAP,
     labeler: Labeler | None = None,
-    choices_fn: ChoicesFn | None = None,
+    forced_fn: ForcedFn | None = None,
 ) -> ComputationTree:
     """The model's computation tree to exactly ``depth`` steps.
 
-    ``choices_fn(step, parent)`` can replace the per-variable choice sets for
-    the children born at ``step``; interventions are implemented that way.
-    Raises BudgetExceeded (carrying the partial tree) past ``node_cap`` nodes.
+    ``forced_fn(step, parent)`` can force the values of variables in the
+    children born at ``step`` (see ``successor_choices``); interventions are
+    implemented that way. Raises BudgetExceeded (carrying the partial tree)
+    past ``node_cap`` nodes.
     """
 
     def children(tree, nid):
         parent = tree.nodes[nid]
-        if choices_fn is not None:
-            choices = choices_fn(tree.depth_of[nid] + 1, parent)
-        else:
-            choices = successor_choices(model, parent)
+        forced = forced_fn(tree.depth_of[nid] + 1, parent) if forced_fn else None
+        choices = successor_choices(model, parent, forced)
         if choices is None:
             return ()
         kids = expand_choices(model.signature, choices)

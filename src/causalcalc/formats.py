@@ -31,13 +31,7 @@ from .core import (
     render_value,
     value_key,
 )
-from .compilers import (
-    CalculatorModel,
-    compile_lba,
-    compile_lba_monolithic,
-    compile_ntm,
-    compile_tm,
-)
+from .compilers import CalculatorModel, compile_machine
 from .errors import (
     FormatError,
     InterventionSyntax,
@@ -231,17 +225,15 @@ def _recompile(meta) -> CalculatorModel:
     _require_keys(meta, {"kind", "machine", "machine_hash", "tape_len"}, set(), "meta")
     spec = machine_from_json(meta["machine"])
     kind = _str(meta, "kind", "meta")
+    monolithic = kind == "lba_mono"
+    if ("lba" if monolithic else kind) != spec.kind:
+        raise FormatError(f"meta.kind {kind!r} does not match the {spec.kind} machine")
     tape_len = meta["tape_len"]
-    if kind in ("lba", "lba_mono"):
-        if isinstance(tape_len, bool) or not isinstance(tape_len, int) or tape_len < 1:
-            raise FormatError("meta.tape_len must be a positive integer for lba models")
-        calc = (compile_lba_monolithic if kind == "lba_mono" else compile_lba)(spec, tape_len)
-    elif kind == "tm":
-        calc = compile_tm(spec)
-    elif kind == "ntm":
-        calc = compile_ntm(spec)
-    else:
-        raise FormatError(f"meta.kind {kind!r} is not a known calculator kind")
+    if spec.kind == "lba" and (
+        isinstance(tape_len, bool) or not isinstance(tape_len, int) or tape_len < 1
+    ):
+        raise FormatError("meta.tape_len must be a positive integer for lba models")
+    calc = compile_machine(spec, tape_len=tape_len, monolithic=monolithic)
     if meta["machine_hash"] != calc.machine_hash:
         raise FormatError("meta.machine_hash does not match the machine")
     return calc
@@ -497,7 +489,7 @@ def _parse_one_atom(model: Model, text: str, offset: int):
     while i < len(text) and text[i].isspace():
         i += 1
     j = i
-    while j < len(text) and text[j].isdigit():
+    while j < len(text) and text[j].isdecimal():
         j += 1
     if j == i:
         raise InterventionSyntax("step must be a non-negative integer", position=offset + i)

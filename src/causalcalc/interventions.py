@@ -1,9 +1,12 @@
 """Interventions, equation rewrites, and but-for cause queries.
 
-A value intervention pins variables to values at given steps on every branch;
-the root is overridden directly for step-0 atoms. A structure intervention
-rewrites single equation rows from a given step onward: a row rewritten at
-step n governs every later step until a newer rewrite targets the same row.
+Both kinds of intervention only force values: a forced variable takes its one
+value in place of its equation, which is not evaluated (see
+``core.successor_choices``). A value intervention pins variables to values at
+given steps on every branch; the root is overridden directly for step-0 atoms.
+A structure intervention rewrites single equation rows from a given step
+onward: a row rewritten at step n governs every later step until a newer
+rewrite targets the same row.
 """
 
 from __future__ import annotations
@@ -21,12 +24,9 @@ from .core import (
     TimedAssignment,
     Value,
     VarId,
-    active_variables,
-    eval_equation,
     expand_tree,
     holds_at,
     render_value,
-    successor_choices,
     value_key,
 )
 from .errors import (
@@ -149,21 +149,13 @@ def apply_intervention(
             raise StepBeyondDepth(f"{atom.render()} exceeds depth {depth}")
     by_step = spec.by_step()
     root = _override_root(model, root, by_step.get(0, {}))
-
-    def choices_fn(step: int, parent: Configuration):
-        base = successor_choices(model, parent)
-        pins = by_step.get(step)
-        if base is None or not pins:
-            return base
-        pinned = set(pins)
-        out = [(var, (pins[var],)) if var in pinned else (var, vals) for var, vals in base]
-        covered = {var for var, _ in base}
-        for var in sorted(pinned - covered, key=lambda v: v.key):
-            out.append((var, (pins[var],)))
-        return out
-
     return expand_tree(
-        model, root, depth, node_cap=node_cap, labeler=labeler, choices_fn=choices_fn
+        model,
+        root,
+        depth,
+        node_cap=node_cap,
+        labeler=labeler,
+        forced_fn=lambda step, parent: by_step.get(step),
     )
 
 
@@ -183,41 +175,18 @@ def apply_structure_intervention(
     """
     for atom in spec.atoms:
         _check_rewrite(model, atom)
-    by_var: dict[VarId, list[RewriteAtom]] = {}
-    for atom in spec.atoms:
-        by_var.setdefault(atom.var, []).append(atom)
+    atoms = sorted(spec.atoms, key=lambda a: a.step)
 
-    def rewrite_for(var: VarId, parent: Configuration, upto: int) -> RewriteAtom | None:
-        best = None
-        for atom in by_var.get(var, ()):
-            if atom.step > upto:
-                continue
-            if all(parent.get(v) == x for v, x in atom.row):
-                if best is None or atom.step > best.step:
-                    best = atom
-        return best
-
-    def choices_fn(step: int, parent: Configuration):
-        upto = step - 1
-        targets = active_variables(model, parent)
-        seen = set(targets)
-        extra = {a.var for a in spec.atoms if a.step <= upto and a.var not in seen}
-        targets = targets + sorted(extra, key=lambda v: v.key)
-        choices = []
-        for var in targets:
-            hit = rewrite_for(var, parent, upto)
-            if hit is not None:
-                vals: tuple = (hit.value,)
-            else:
-                out = eval_equation(model, var, parent)
-                if not out:
-                    return None
-                vals = tuple(sorted(out, key=value_key))
-            choices.append((var, vals))
-        return choices
+    def forced_fn(step: int, parent: Configuration):
+        # newer rewrites overwrite older ones for the same variable
+        return {
+            a.var: a.value
+            for a in atoms
+            if a.step < step and all(parent.get(v) == x for v, x in a.row)
+        }
 
     return expand_tree(
-        model, root, depth, node_cap=node_cap, labeler=labeler, choices_fn=choices_fn
+        model, root, depth, node_cap=node_cap, labeler=labeler, forced_fn=forced_fn
     )
 
 

@@ -79,6 +79,30 @@ def test_compile_lba_rejects_tape_len_below_one(capsys, parity_file, extra):
     assert "--tape-len must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "COUNTER", "--root", '{"X": 8}', "--depth", "-2"],
+        [
+            "intervene", "COUNTER", "--root", '{"X": 8}',
+            "--rewrite", "X@1(X=0)=1", "--depth", "-1",
+        ],
+        ["bisim", "PARITY", "MODEL", "--input", "1", "--depth", "-1"],
+        ["accepts", "MODEL", "--input", "1", "--budget", "-5"],
+        ["bisim", "PARITY", "MODEL", "--inputs", "1,0", "--budget", "-1"],
+    ],
+    ids=["run", "intervene", "bisim-depth", "accepts", "bisim-budget"],
+)
+def test_negative_depth_and_budget_are_usage_errors(
+    capsys, counter_file, parity_file, parity_model_file, argv
+):
+    files = {"COUNTER": counter_file, "PARITY": parity_file, "MODEL": parity_model_file}
+    assert main([files.get(arg, arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err and "must be at least 0" in captured.err
+
+
 # ---------------------------------------------------------- run
 
 def test_run_compiled_model_by_input(capsys, parity_model_file):

@@ -1,0 +1,165 @@
+"""Fuzzers for the machine file and the intervention grammar.
+
+Every valid machine spec survives a dump and load through canonical JSON
+unchanged; any other JSON either loads or fails with ``FormatError`` or
+``InvalidMachineKind``. A compiled model whose ``meta.kind`` does not name its
+machine's kind is a ``FormatError``. Every ``InterventionSyntax`` the grammar
+raises points at an offset inside the text it was given, so the CLI's
+``(at offset N)`` is always a real place; any other failure is a package
+error, never a traceback.
+"""
+
+import json
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from causalcalc import active_variables, compile_lba, compile_machine
+from causalcalc.errors import CausalCalcError, FormatError, InterventionSyntax, InvalidMachineKind
+from causalcalc.formats import (
+    dumps_canonical,
+    machine_from_json,
+    machine_to_json,
+    model_from_json,
+    model_to_json,
+    parse_atoms,
+    parse_rewrites,
+    parse_steps,
+    parse_variable_patterns,
+)
+from causalcalc.machines import KINDS, MOVES, MachineSpec, Transition, validate_machine
+from conftest import abc_lba, alternation_tm, counter_model, guess_ntm, parity_lba
+from test_fuzz import _paths, _replace, json_values
+
+# plain tokens: the characters the grammar and the table output reserve are out
+TOKENS = st.text(
+    alphabet=st.characters(
+        blacklist_characters=" \t\n,()=@;.\"'", blacklist_categories=("Cs", "Cc", "Zs")
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def machine_specs(draw):
+    """A spec that passes ``validate_machine``, of any kind."""
+    kind = draw(st.sampled_from(KINDS))
+    n_specials = 3 if kind == "lba" else 1
+    symbols = draw(st.lists(TOKENS, min_size=n_specials, max_size=n_specials + 3, unique=True))
+    blank, *markers = symbols[:n_specials]
+    inputs = symbols[n_specials:]
+    left, right = markers if markers else (">", "<")
+    states = draw(st.lists(TOKENS, min_size=2, max_size=4, unique=True))
+    finals = draw(st.sets(st.sampled_from(states), max_size=len(states) - 1))
+    live = [q for q in states if q not in finals]
+    inner = inputs + [blank]
+    tape = inner + markers
+    walls = {left: (0, 1), right: (-1, 0)} if markers else {}
+
+    def step(read):
+        if read in walls:  # an lba marker is written back and never crossed
+            return read, draw(st.sampled_from(walls[read]))
+        return draw(st.sampled_from(inner)), draw(st.sampled_from(MOVES[kind]))
+
+    if kind == "tm":
+        keys = [(q, g) for q in live for g in tape]
+    else:
+        keys = draw(st.lists(st.tuples(st.sampled_from(live), st.sampled_from(tape)), max_size=6))
+    transitions = []
+    for q, g in keys:
+        t = Transition(q, g, draw(st.sampled_from(states)), *step(g))
+        if t not in transitions:
+            transitions.append(t)
+    spec = MachineSpec(
+        kind=kind,
+        states=tuple(states),
+        initial=draw(st.sampled_from(states)),
+        finals=frozenset(finals),
+        input_alphabet=tuple(inputs),
+        transitions=tuple(transitions),
+        blank=blank,
+        left_marker=left,
+        right_marker=right,
+    )
+    assert validate_machine(spec) == []
+    return spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(machine_specs())
+def test_valid_machine_specs_round_trip_exactly(spec):
+    text = dumps_canonical(machine_to_json(spec))
+    assert machine_from_json(json.loads(text)) == spec
+
+
+BASE_MACHINES = [machine_to_json(m()) for m in (parity_lba, abc_lba, alternation_tm, guess_ntm)]
+
+
+@st.composite
+def machine_docs(draw):
+    """Random JSON, or a fixture machine file with one subtree replaced."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    doc = draw(st.sampled_from(BASE_MACHINES))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    return _replace(doc, path, draw(json_values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(machine_docs())
+def test_other_machine_json_loads_or_raises_a_format_error(doc):
+    try:
+        spec = machine_from_json(doc)
+    except (FormatError, InvalidMachineKind):
+        return
+    assert machine_from_json(machine_to_json(spec)) == spec
+
+
+@pytest.mark.parametrize("kind", ["lba", "lba_mono", "tm", "ntm", "tm_mono", "x"])
+@pytest.mark.parametrize("machine", [parity_lba, alternation_tm, guess_ntm])
+def test_compiled_meta_kind_must_match_its_machine(machine, kind):
+    calc = compile_machine(machine(), tape_len=2)
+    doc = model_to_json(calc)
+    doc["meta"]["kind"] = kind
+    if kind == calc.kind:
+        assert model_from_json(doc).kind == kind
+    elif kind == "lba_mono" and calc.kind == "lba":
+        with pytest.raises(FormatError, match="does not match recompiling"):
+            model_from_json(doc)
+    else:
+        with pytest.raises(FormatError, match=f"meta.kind '{kind}' does not match"):
+            model_from_json(doc)
+
+
+# ------------------------------------------------- intervention grammar
+
+COUNTER = counter_model()
+LBA = compile_lba(parity_lba(), 2)
+UNIVERSE = active_variables(LBA.model, LBA.initial("1"))
+
+# grammar-shaped text next to arbitrary text; kept short so a step range such
+# as "0..99999999" cannot ask for millions of steps
+GRAMMAR = st.text(alphabet="XS_@=(),.*?[]-0129 ²", max_size=9) | st.text(max_size=9)
+PARSERS = {
+    "atoms": lambda text: parse_atoms(COUNTER, text),
+    "rewrites": lambda text: parse_rewrites(COUNTER, text),
+    "lba atoms": lambda text: parse_atoms(LBA.model, text),
+    "lba rewrites": lambda text: parse_rewrites(LBA.model, text),
+    "steps": parse_steps,
+    "patterns": lambda text: parse_variable_patterns(LBA.model, UNIVERSE, text),
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(PARSERS)), GRAMMAR)
+@example("atoms", "X@²=1")  # a digit that int() refuses
+@example("rewrites", "X@1(X=(1)=0")
+@example("patterns", "X_0..X_2,")
+def test_syntax_errors_point_inside_the_text(parser, text):
+    try:
+        PARSERS[parser](text)
+    except InterventionSyntax as exc:
+        assert exc.position is not None and 0 <= exc.position <= len(text), (text, exc)
+    except CausalCalcError:
+        pass

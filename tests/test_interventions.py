@@ -168,6 +168,28 @@ def test_rewrite_can_resurrect_a_dead_row():
     assert all(tree.children[n] for n in range(tree.node_count) if tree.depth_of[n] < 3)
 
 
+def test_pin_overrides_a_dead_equation():
+    # the pinned variable's equation is not evaluated, so a pin applies even
+    # where that equation has no successor, as a rewrite of the row does
+    class DieOnOne(RuleEquation):
+        def domain_of(self, index):
+            return (VarId("P"),)
+
+        def outputs(self, index, view):
+            return frozenset() if view[VarId("P")] == 1 else frozenset({0, 1})
+
+    p = VarId("P")
+    sig = Signature(plain=[PlainVar("P", frozenset({0, 1}))])
+    m = Model(sig, {"P": DieOnOne()})
+    root = m.configuration({p: 1})
+    assert expand_tree(m, root, 2).node_count == 1
+
+    tree = apply_intervention(m, root, InterventionSpec([Atom(p, 1, 0)]), 2)
+    assert tree.node_count == 4
+    assert [tree.nodes[n].get(p) for n in range(4)] == [1, 0, 0, 1]
+    assert tree.depth_of == [0, 1, 2, 2]
+
+
 def test_rewrite_row_must_match_the_domain(two_var):
     a = VarId("A")
     with pytest.raises(RowDomainMismatch):
