@@ -196,12 +196,16 @@ def _make_root(calc, model, args):
     raise CliUsage("give --root, or --input for a compiled model")
 
 
+def _check_tape_len(spec, tape_len) -> None:
+    if spec.kind == "lba" and tape_len is not None and tape_len < 1:
+        raise CliUsage("--tape-len must be at least 1")
+
+
 def _cmd_compile(args) -> int:
     spec = machine_from_json(_load_json(args.machine))
     if spec.kind == "lba" and args.tape_len is None:
         raise CliUsage("--tape-len is required for lba machines")
-    if spec.kind == "lba" and args.tape_len < 1:
-        raise CliUsage("--tape-len must be at least 1")
+    _check_tape_len(spec, args.tape_len)
     calc = compile_machine(spec, tape_len=args.tape_len, monolithic=args.monolithic)
     _emit(model_to_json(calc), args.out)
     return 0
@@ -224,6 +228,7 @@ def _cmd_accepts(args) -> int:
     data = _load_json(args.file)
     if isinstance(data, dict) and "transitions" in data:
         spec = machine_from_json(data)
+        _check_tape_len(spec, args.tape_len)
         tree, verdict = run_machine(
             spec, args.input, args.budget, tape_len=args.tape_len, node_cap=_node_cap(args)
         )

@@ -575,12 +575,36 @@ def successor_choices(
     return choices
 
 
-def successors(model: Model, config: Configuration) -> tuple[Configuration, ...]:
+def successors(
+    model: Model, config: Configuration, forced: Mapping[VarId, Value] | None = None
+) -> tuple[Configuration, ...]:
     """All one-step successors, deduplicated and canonically ordered."""
-    choices = successor_choices(model, config)
+    choices = successor_choices(model, config, forced)
     if choices is None:
         return ()
     return expand_choices(model.signature, choices)
+
+
+SuccessorFn = Callable[[Configuration, Optional[Mapping[VarId, Value]]], tuple]
+
+
+def memo_successors(model: Model) -> SuccessorFn:
+    """``successors`` of ``model``, computed once per (configuration, forced values).
+
+    Models are pure, so a configuration's children under the same forced
+    values never change. Every expansion goes through one of these; a query
+    that passes over the same model many times shares one.
+    """
+    memo = {}
+
+    def children(config: Configuration, forced: Mapping[VarId, Value] | None = None):
+        key = (config, frozenset((v, value_key(x)) for v, x in forced.items()) if forced else None)
+        kids = memo.get(key)
+        if kids is None:
+            kids = memo[key] = successors(model, config, forced)
+        return kids
+
+    return children
 
 
 def expand_choices(signature: Signature, choices) -> tuple[Configuration, ...]:
@@ -719,18 +743,16 @@ def expand_tree(
 
     ``forced_fn(step, parent)`` can force the values of variables in the
     children born at ``step`` (see ``successor_choices``); interventions are
-    implemented that way. Raises BudgetExceeded (carrying the partial tree)
-    past ``node_cap`` nodes.
+    implemented that way. Each distinct (parent, forced values) pair is
+    expanded once. Raises BudgetExceeded (carrying the partial tree) past
+    ``node_cap`` nodes.
     """
+    succ = memo_successors(model)
 
     def children(tree, nid):
         parent = tree.nodes[nid]
         forced = forced_fn(tree.depth_of[nid] + 1, parent) if forced_fn else None
-        choices = successor_choices(model, parent, forced)
-        if choices is None:
-            return ()
-        kids = expand_choices(model.signature, choices)
-        return [(c, labeler(parent, c) if labeler else None) for c in kids]
+        return [(c, labeler(parent, c) if labeler else None) for c in succ(parent, forced)]
 
     return grow_tree(root, depth, children, node_cap=node_cap)
 
@@ -772,3 +794,145 @@ def holds_at(
     if mode == "some":
         return HoldsReport(bool(hits), mode, hits)
     return HoldsReport(not misses, mode, misses)
+
+
+class Layers:
+    """The per-step reachable sets of a computation tree, without the tree.
+
+    ``counts[s]`` maps each configuration at step s to the number of tree
+    nodes holding it, and ``kids[s][c]`` gives the children of ``c`` at step
+    s in canonical order. Every tree node that holds ``c`` at step s has
+    those children, because forced values depend only on (step, parent).
+    Like the tree, the layers stop early when a step comes out empty.
+    """
+
+    def __init__(self, depth: int, root: Configuration):
+        self.depth = depth
+        self.counts: list[dict[Configuration, int]] = [{root: 1}]
+        self.kids: list[dict[Configuration, tuple]] = []
+
+    def _wanted(self, timed: Sequence[TimedAssignment]):
+        for var, step, _ in timed:
+            if step > self.depth:
+                raise StepBeyondDepth(f"{var.render()}@{step} exceeds depth {self.depth}")
+        want: dict[int, list] = {}
+        for var, step, value in timed:
+            want.setdefault(step, []).append((var, value))
+
+        def ok(config, step):
+            return all(config.get(var) == value for var, value in want.get(step, ()))
+
+        return ok, max(want, default=0)
+
+    def _satisfying(self, ok, last: int) -> list[list[Configuration]]:
+        """Per step up to ``last``, the configurations on a satisfying prefix."""
+        root = next(iter(self.counts[0]))
+        sets = [[root] if ok(root, 0) else []]
+        for step in range(1, last + 1):
+            if step >= len(self.counts):
+                return sets + [[]]
+            kids = self.kids[step - 1]
+            seen = {}
+            for config in sets[-1]:
+                for child in kids[config]:
+                    if child not in seen and ok(child, step):
+                        seen[child] = None
+            sets.append(list(seen))
+            if not seen:
+                break
+        return sets
+
+    def holds(self, timed: Sequence[TimedAssignment], mode: str = "some") -> bool:
+        """The verdict of :func:`holds_at` on the tree these layers count."""
+        if mode not in ("some", "all"):
+            raise ValueError(f"mode must be 'some' or 'all', got {mode!r}")
+        ok, last = self._wanted(timed)
+        if mode == "some":
+            return bool(self._satisfying(ok, last)[-1])
+        for step in range(last + 1):
+            if step >= len(self.counts):
+                return False  # every branch died before a referenced step
+            for config in self.counts[step]:
+                if not ok(config, step) or (step < last and not self.kids[step][config]):
+                    return False
+        return True
+
+    def first_witness(self, timed: Sequence[TimedAssignment]) -> tuple[int, ...] | None:
+        """The first satisfying branch, in the node ids of the implied tree.
+
+        This is ``holds_at(tree, timed, "some").witnesses[0]``, or None when
+        no branch satisfies. The walk takes, at each step, the first child in
+        canonical order that still leads to a satisfying prefix, and then the
+        first child until the branch ends. A node's id is the number of
+        nodes in earlier steps plus the number of nodes before it in its own
+        step: the children of the nodes before its parent, and its elder
+        siblings.
+        """
+        ok, last = self._wanted(timed)
+        forward = self._satisfying(ok, last)
+        if not forward[-1]:
+            return None
+        good = set(forward[-1])
+        alive = [good]
+        for step in range(last - 1, -1, -1):
+            kids = self.kids[step]
+            good = {c for c in forward[step] if any(k in good for k in kids[c])}
+            alive.append(good)
+        alive.reverse()
+
+        config = next(iter(self.counts[0]))
+        path, before, offset = [0], {}, 1
+        for step in range(len(self.kids)):
+            children = self.kids[step][config]
+            if not children:
+                break
+            pick = 0
+            if step < last:
+                pick = next(i for i, c in enumerate(children) if c in alive[step + 1])
+            following = {}
+            for c, n in before.items():
+                for k in self.kids[step][c]:
+                    following[k] = following.get(k, 0) + n
+            for k in children[:pick]:
+                following[k] = following.get(k, 0) + 1
+            path.append(offset + sum(following.values()))
+            offset += sum(self.counts[step + 1].values())
+            before, config = following, children[pick]
+        return tuple(path)
+
+
+def reach_layers(
+    succ: SuccessorFn,
+    root: Configuration,
+    depth: int,
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+    forced_fn: ForcedFn | None = None,
+) -> Layers:
+    """The layers of ``expand_tree``'s tree to ``depth`` steps, with its node cap.
+
+    ``succ`` is a ``memo_successors`` function; ``forced_fn`` is as for
+    ``expand_tree``. The cost grows with the distinct configurations per
+    step, not with the tree. BudgetExceeded (with no partial tree) is raised
+    exactly where ``expand_tree`` would raise it, because the cap counts the
+    nodes of the tree these layers stand for.
+    """
+    layers = Layers(depth, root)
+    total = 1
+    for step in range(1, depth + 1):
+        kids, following = {}, {}
+        for config, n in layers.counts[-1].items():
+            forced = forced_fn(step, config) if forced_fn else None
+            children = kids[config] = succ(config, forced)
+            if not children:
+                continue
+            total += n * len(children)
+            if total > node_cap:
+                raise BudgetExceeded(f"node budget {node_cap} exhausted at step {step}")
+            for child in children:
+                following[child] = following.get(child, 0) + n
+        layers.kids.append(kids)
+        if not following:
+            break
+        layers.counts.append(following)
+    return layers

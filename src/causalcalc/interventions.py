@@ -25,7 +25,8 @@ from .core import (
     Value,
     VarId,
     expand_tree,
-    holds_at,
+    memo_successors,
+    reach_layers,
     render_value,
     value_key,
 )
@@ -133,6 +134,16 @@ def _override_root(model: Model, root: Configuration, pins: Mapping[VarId, Value
     return model.configuration(assignment)
 
 
+def _pinned(model: Model, root: Configuration, spec: InterventionSpec, depth: int):
+    """The intervened root and the ``forced_fn`` that pins every later step."""
+    for atom in spec.atoms:
+        _check_atom(model, atom)
+        if atom.step > depth:
+            raise StepBeyondDepth(f"{atom.render()} exceeds depth {depth}")
+    by_step = spec.by_step()
+    return _override_root(model, root, by_step.get(0, {})), lambda step, parent: by_step.get(step)
+
+
 def apply_intervention(
     model: Model,
     root: Configuration,
@@ -143,20 +154,16 @@ def apply_intervention(
     labeler: Labeler | None = None,
 ) -> ComputationTree:
     """Expand the intervened computation tree to ``depth`` steps."""
-    for atom in spec.atoms:
-        _check_atom(model, atom)
-        if atom.step > depth:
-            raise StepBeyondDepth(f"{atom.render()} exceeds depth {depth}")
-    by_step = spec.by_step()
-    root = _override_root(model, root, by_step.get(0, {}))
+    root, forced_fn = _pinned(model, root, spec, depth)
     return expand_tree(
-        model,
-        root,
-        depth,
-        node_cap=node_cap,
-        labeler=labeler,
-        forced_fn=lambda step, parent: by_step.get(step),
+        model, root, depth, node_cap=node_cap, labeler=labeler, forced_fn=forced_fn
     )
+
+
+def _pinned_layers(model, succ, root, spec, depth, node_cap):
+    """The layers of the tree ``apply_intervention`` would build."""
+    root, forced_fn = _pinned(model, root, spec, depth)
+    return reach_layers(succ, root, depth, node_cap=node_cap, forced_fn=forced_fn)
 
 
 def apply_structure_intervention(
@@ -211,6 +218,7 @@ def _alternatives(model: Model, atoms: Sequence[Atom]):
 
 def _prevents(
     model: Model,
+    succ,
     root: Configuration,
     atoms: Sequence[Atom],
     outcome: Sequence[Atom],
@@ -223,8 +231,7 @@ def _prevents(
         spec = InterventionSpec(
             [Atom(a.var, a.step, v) for a, v in zip(atoms, combo)]
         )
-        tree = apply_intervention(model, root, spec, depth, node_cap=node_cap)
-        if not holds_at(tree, timed, "some").holds:
+        if not _pinned_layers(model, succ, root, spec, depth, node_cap).holds(timed):
             return {a.render(): render_value(v) for a, v in zip(atoms, combo)}
     return None
 
@@ -244,6 +251,8 @@ def is_cause(
     ``same_branch=False`` lets each find its own branch); (2) some alternative
     assignment to all candidate coordinates makes the outcome fail on every
     branch; (3) no proper non-empty sub-assignment already manages (2).
+    Every tree is read from its per-step reachable sets (``reach_layers``),
+    with one successor memo for the whole query.
     """
     candidate = list(candidate)
     outcome = list(outcome)
@@ -253,20 +262,21 @@ def is_cause(
     for a in list(candidate) + list(outcome):
         _check_atom(model, a)
 
+    succ = memo_successors(model)
     horizon = max(a.step for a in candidate + outcome)
-    base = expand_tree(model, root, horizon, node_cap=node_cap)
+    base = reach_layers(succ, root, horizon, node_cap=node_cap)
     cand_t = [(a.var, a.step, a.value) for a in candidate]
     out_t = [(a.var, a.step, a.value) for a in outcome]
     if same_branch:
-        actual = holds_at(base, cand_t + out_t, "some")
+        actual = base.first_witness(cand_t + out_t)
     else:
-        actual = holds_at(base, out_t, "some")
-        if not holds_at(base, cand_t, "some").holds:
+        actual = base.first_witness(out_t)
+        if not base.holds(cand_t):
             return CauseVerdict(False, failing_condition=1)
-    if not actual.holds:
+    if actual is None:
         return CauseVerdict(False, failing_condition=1)
 
-    preventing = _prevents(model, root, candidate, outcome, node_cap)
+    preventing = _prevents(model, succ, root, candidate, outcome, node_cap)
     if preventing is None:
         return CauseVerdict(False, failing_condition=2)
 
@@ -274,7 +284,7 @@ def is_cause(
     for size in range(1, n):
         for subset in itertools.combinations(range(n), size):
             sub = [candidate[i] for i in subset]
-            alt = _prevents(model, root, sub, outcome, node_cap)
+            alt = _prevents(model, succ, root, sub, outcome, node_cap)
             if alt is not None:
                 return CauseVerdict(
                     False,
@@ -288,7 +298,7 @@ def is_cause(
         True,
         witness={
             "preventing": preventing,
-            "actual_branch": list(actual.witnesses[0]),
+            "actual_branch": list(actual),
         },
     )
 
@@ -336,7 +346,9 @@ def sweep(
     Each row pins ``k_faults`` cells to alternative values and reports whether
     the outcome predicate still holds; a row is critical when the verdict
     differs from the unintervened baseline. On budget exhaustion the report is
-    returned truncated with the rows finished so far.
+    returned truncated with the rows finished so far. Rows share one
+    successor memo, so a row pinned at step k reuses the baseline's first k
+    steps.
     """
     if k_faults not in (1, 2):
         raise ValueError("k_faults must be 1 or 2")
@@ -345,9 +357,9 @@ def sweep(
     for var in variables:
         if not model.signature.is_declared(var):
             raise UnknownVariable(var.render())
+    succ = memo_successors(model)
     horizon = max(s for _, s, _ in outcome)
-    base = expand_tree(model, root, horizon, node_cap=node_cap)
-    baseline = holds_at(base, outcome, mode).holds
+    baseline = reach_layers(succ, root, horizon, node_cap=node_cap).holds(outcome, mode)
 
     cells = [
         (var, step)
@@ -373,13 +385,11 @@ def sweep(
     for atoms in combos:
         depth = max(horizon, max(a.step for a in atoms))
         try:
-            tree = apply_intervention(
-                model, root, InterventionSpec(atoms), depth, node_cap=node_cap
-            )
+            layers = _pinned_layers(model, succ, root, InterventionSpec(atoms), depth, node_cap)
         except BudgetExceeded:
             truncated = True
             break
-        verdict = holds_at(tree, outcome, mode).holds
+        verdict = layers.holds(outcome, mode)
         rows.append(
             SweepRow(
                 atoms=tuple(atoms),

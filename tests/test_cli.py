@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,15 @@ def test_accepts_machine_and_model_routes(capsys, parity_file, parity_model_file
         capsys, ["accepts", parity_model_file, "--input", "1", "--budget", "30"]
     )
     assert data["verdict"] == "REJECT_EXHAUSTED"
+
+
+@pytest.mark.parametrize("tape_len", ["0", "-1"])
+def test_accepts_lba_machine_rejects_tape_len_below_one(capsys, parity_file, tape_len):
+    argv = ["accepts", parity_file, "--input", "", "--budget", "5", "--tape-len", tape_len]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: --tape-len must be at least 1" in captured.err
 
 
 def test_accepts_rejects_plain_models(capsys, counter_file):
@@ -385,3 +398,18 @@ def test_defective_model_file_exits_two(capsys, tmp_path, counter):
     path.write_text(dumps_canonical(data))
     assert main(["run", str(path), "--root", '{"X": 8}', "--depth", "1"]) == 2
     assert "MissingRow" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------- python -m
+
+def test_python_dash_m_runs_the_command(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "causalcalc", "run", "missing.json", "--depth", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "missing.json" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
