@@ -6,8 +6,8 @@ print tab-delimited tables on stdout instead, with JSON behind ``--out``.
 
 Exit codes: 0 success, 1 usage or file parse problems, 2 validation and
 semantic defects, 3 node budget exhausted (tree commands still emit the
-partial tree, marked truncated). The node cap can also be set through the
-``CAUSAL_CALC_NODE_CAP`` environment variable.
+partial tree, marked truncated). The node cap, at least 1, can also be set
+through the ``CAUSAL_CALC_NODE_CAP`` environment variable.
 """
 
 from __future__ import annotations
@@ -75,10 +75,18 @@ class _Parser(argparse.ArgumentParser):
 class _Bound(argparse.Action):
     """A --depth or --budget value: an integer of at least 0."""
 
+    least = 0
+
     def __call__(self, parser, namespace, value, option_string=None):
-        if value < 0:
-            raise argparse.ArgumentError(self, f"must be at least 0, got {value}")
+        if value < self.least:
+            raise argparse.ArgumentError(self, f"must be at least {self.least}, got {value}")
         setattr(namespace, self.dest, value)
+
+
+class _Cap(_Bound):
+    """A --node-cap value: an integer of at least 1."""
+
+    least = 1
 
 
 def _build_parser() -> _Parser:
@@ -87,7 +95,9 @@ def _build_parser() -> _Parser:
 
     def common(sp, root=False):
         sp.add_argument("--out", help="write the JSON result to this file")
-        sp.add_argument("--node-cap", type=int, help=f"node budget (default {DEFAULT_NODE_CAP})")
+        sp.add_argument(
+            "--node-cap", type=int, action=_Cap, help=f"node budget (default {DEFAULT_NODE_CAP})"
+        )
         if root:
             sp.add_argument("--input", help="input string (compiled models)")
             sp.add_argument("--root", help="root configuration as a JSON object")
@@ -154,12 +164,15 @@ def _node_cap(args) -> int:
     if getattr(args, "node_cap", None) is not None:
         return args.node_cap
     env = os.environ.get(ENV_NODE_CAP)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise FormatError(f"{ENV_NODE_CAP} must be an integer, got {env!r}") from None
-    return DEFAULT_NODE_CAP
+    if not env:
+        return DEFAULT_NODE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise FormatError(f"{ENV_NODE_CAP} must be an integer, got {env!r}") from None
+    if cap < _Cap.least:
+        raise CliUsage(f"{ENV_NODE_CAP} must be at least {_Cap.least}, got {cap}")
+    return cap
 
 
 def _load_json(path):

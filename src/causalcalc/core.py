@@ -586,13 +586,15 @@ def successors(
 
 
 SuccessorFn = Callable[[Configuration, Optional[Mapping[VarId, Value]]], tuple]
+Labeler = Callable[[Configuration, Configuration], object]
 
 
-def memo_successors(model: Model) -> SuccessorFn:
-    """``successors`` of ``model``, computed once per (configuration, forced values).
+def memo_successors(model: Model, labeler: Labeler | None = None) -> SuccessorFn:
+    """(child, label) pairs of ``successors``, computed once per (configuration, forced values).
 
     Models are pure, so a configuration's children under the same forced
-    values never change. Every expansion goes through one of these; a query
+    values never change. Labels are ``labeler(parent, child)``, or None
+    without a labeler. Every expansion goes through one of these; a query
     that passes over the same model many times shares one.
     """
     memo = {}
@@ -601,7 +603,10 @@ def memo_successors(model: Model) -> SuccessorFn:
         key = (config, frozenset((v, value_key(x)) for v, x in forced.items()) if forced else None)
         kids = memo.get(key)
         if kids is None:
-            kids = memo[key] = successors(model, config, forced)
+            kids = memo[key] = tuple(
+                (c, labeler(config, c) if labeler else None)
+                for c in successors(model, config, forced)
+            )
         return kids
 
     return children
@@ -622,33 +627,16 @@ class ComputationTree:
     Nodes are model configurations or machine configurations. They get BFS
     ids; the children of each node come in canonical order, so equal
     expansions produce identical trees. Branches can end early when a
-    configuration has no successors.
-
-    ``closed`` and ``loops`` stay empty except in closure runs (see
-    :func:`causalcalc.machines.closure_run`): ``closed`` marks leaves whose
-    futures are fully known, ``stuck`` (no successors) or ``loop`` (every
-    successor equals an ancestor on its own branch), and ``loops`` records
-    the skipped back-edges as (node, ancestor, label) triples.
+    configuration has no successors. Every tree is written by :func:`unfold`.
     """
 
-    def __init__(self, depth: int):
+    def __init__(self, depth: int, root):
         self.depth = depth
-        self.nodes: list = []
-        self.parent: list[int | None] = []
-        self.depth_of: list[int] = []
-        self.children: list[list[int]] = []
-        self.labels: list[object] = []  # label of the edge into each node
-        self.closed: dict[int, str] = {}
-        self.loops: list[tuple[int, int, object]] = []
-
-    def add_root(self, config) -> int:
-        assert not self.nodes
-        self.nodes.append(config)
-        self.parent.append(None)
-        self.depth_of.append(0)
-        self.children.append([])
-        self.labels.append(None)
-        return 0
+        self.nodes: list = [root]
+        self.parent: list[int | None] = [None]
+        self.depth_of: list[int] = [0]
+        self.children: list[list[int]] = [[]]
+        self.labels: list[object] = [None]  # label of the edge into each node
 
     def add_child(self, parent_id: int, config, label=None) -> int:
         cid = len(self.nodes)
@@ -699,35 +687,7 @@ class ComputationTree:
         return f"<tree depth={self.depth} nodes={self.node_count}>"
 
 
-Labeler = Callable[[Configuration, Configuration], object]
 ForcedFn = Callable[[int, Configuration], Optional[Mapping[VarId, Value]]]
-
-
-def grow_tree(root, depth: int, children, *, node_cap: int = DEFAULT_NODE_CAP) -> ComputationTree:
-    """Breadth-first expansion to at most ``depth`` steps.
-
-    ``children(tree, nid)`` gives the (child, label) pairs of node ``nid``,
-    deduplicated and in canonical order; it may read the tree built so far
-    and mark its ``closed`` and ``loops``. Expansion stops early when a level
-    comes out empty. Raises BudgetExceeded (carrying the partial tree) past
-    ``node_cap`` nodes.
-    """
-    tree = ComputationTree(depth)
-    tree.add_root(root)
-    frontier = [0]
-    for step in range(1, depth + 1):
-        next_frontier = []
-        for nid in frontier:
-            for child, label in children(tree, nid):
-                if tree.node_count >= node_cap:
-                    raise BudgetExceeded(
-                        f"node budget {node_cap} exhausted at step {step}", partial=tree
-                    )
-                next_frontier.append(tree.add_child(nid, child, label))
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    return tree
 
 
 def expand_tree(
@@ -747,14 +707,8 @@ def expand_tree(
     expanded once. Raises BudgetExceeded (carrying the partial tree) past
     ``node_cap`` nodes.
     """
-    succ = memo_successors(model)
-
-    def children(tree, nid):
-        parent = tree.nodes[nid]
-        forced = forced_fn(tree.depth_of[nid] + 1, parent) if forced_fn else None
-        return [(c, labeler(parent, c) if labeler else None) for c in succ(parent, forced)]
-
-    return grow_tree(root, depth, children, node_cap=node_cap)
+    succ = memo_successors(model, labeler)
+    return unfold(succ, root, depth, node_cap=node_cap, forced_fn=forced_fn)
 
 
 TimedAssignment = tuple[VarId, int, Value]
@@ -800,10 +754,11 @@ class Layers:
     """The per-step reachable sets of a computation tree, without the tree.
 
     ``counts[s]`` maps each configuration at step s to the number of tree
-    nodes holding it, and ``kids[s][c]`` gives the children of ``c`` at step
-    s in canonical order. Every tree node that holds ``c`` at step s has
-    those children, because forced values depend only on (step, parent).
-    Like the tree, the layers stop early when a step comes out empty.
+    nodes holding it, and ``kids[s][c]`` gives the (child, label) pairs of
+    ``c`` at step s in canonical order. Every tree node that holds ``c`` at
+    step s has those children, because forced values depend only on (step,
+    parent). Like the tree, the layers stop early when a step comes out
+    empty.
     """
 
     def __init__(self, depth: int, root: Configuration):
@@ -834,7 +789,7 @@ class Layers:
             kids = self.kids[step - 1]
             seen = {}
             for config in sets[-1]:
-                for child in kids[config]:
+                for child, _ in kids[config]:
                     if child not in seen and ok(child, step):
                         seen[child] = None
             sets.append(list(seen))
@@ -876,14 +831,14 @@ class Layers:
         alive = [good]
         for step in range(last - 1, -1, -1):
             kids = self.kids[step]
-            good = {c for c in forward[step] if any(k in good for k in kids[c])}
+            good = {c for c in forward[step] if any(k in good for k, _ in kids[c])}
             alive.append(good)
         alive.reverse()
 
         config = next(iter(self.counts[0]))
         path, before, offset = [0], {}, 1
         for step in range(len(self.kids)):
-            children = self.kids[step][config]
+            children = [k for k, _ in self.kids[step][config]]
             if not children:
                 break
             pick = 0
@@ -891,7 +846,7 @@ class Layers:
                 pick = next(i for i, c in enumerate(children) if c in alive[step + 1])
             following = {}
             for c, n in before.items():
-                for k in self.kids[step][c]:
+                for k, _ in self.kids[step][c]:
                     following[k] = following.get(k, 0) + n
             for k in children[:pick]:
                 following[k] = following.get(k, 0) + 1
@@ -903,19 +858,22 @@ class Layers:
 
 def reach_layers(
     succ: SuccessorFn,
-    root: Configuration,
+    root,
     depth: int,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
     forced_fn: ForcedFn | None = None,
 ) -> Layers:
-    """The layers of ``expand_tree``'s tree to ``depth`` steps, with its node cap.
+    """The per-step reachable sets of the tree ``succ`` unfolds from ``root``.
 
-    ``succ`` is a ``memo_successors`` function; ``forced_fn`` is as for
-    ``expand_tree``. The cost grows with the distinct configurations per
-    step, not with the tree. BudgetExceeded (with no partial tree) is raised
-    exactly where ``expand_tree`` would raise it, because the cap counts the
-    nodes of the tree these layers stand for.
+    This is the one level loop behind every tree and query.
+    ``succ(config, forced)`` gives (child, label) pairs, deduplicated and in
+    canonical order, and is called once per distinct configuration per
+    step; ``forced_fn`` is as for ``expand_tree``. The cost grows with the
+    distinct configurations per step, not with the tree. The cap counts the
+    nodes of that tree: the step that takes it past ``node_cap`` is
+    finished, then BudgetExceeded is raised with the layers so far as its
+    partial result.
     """
     layers = Layers(depth, root)
     total = 1
@@ -924,15 +882,50 @@ def reach_layers(
         for config, n in layers.counts[-1].items():
             forced = forced_fn(step, config) if forced_fn else None
             children = kids[config] = succ(config, forced)
-            if not children:
-                continue
             total += n * len(children)
-            if total > node_cap:
-                raise BudgetExceeded(f"node budget {node_cap} exhausted at step {step}")
-            for child in children:
+            for child, _ in children:
                 following[child] = following.get(child, 0) + n
         layers.kids.append(kids)
         if not following:
             break
         layers.counts.append(following)
+        if total > node_cap:
+            raise BudgetExceeded(
+                f"node budget {node_cap} exhausted at step {step}", partial=layers
+            )
     return layers
+
+
+def unfold(
+    succ: SuccessorFn,
+    root,
+    depth: int,
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+    forced_fn: ForcedFn | None = None,
+) -> ComputationTree:
+    """The tree of ``reach_layers``' layers, its nodes written in BFS order.
+
+    Past ``node_cap`` nodes, BudgetExceeded carries the tree's first
+    ``node_cap`` nodes (at least the root) as its partial tree.
+    """
+    try:
+        layers = reach_layers(succ, root, depth, node_cap=node_cap, forced_fn=forced_fn)
+    except BudgetExceeded as exc:
+        exc.partial = _write_tree(exc.partial, node_cap)
+        raise
+    return _write_tree(layers, node_cap)
+
+
+def _write_tree(layers: Layers, node_cap: int) -> ComputationTree:
+    tree = ComputationTree(layers.depth, next(iter(layers.counts[0])))
+    nid = 0
+    while nid < tree.node_count:  # nodes are appended in BFS order
+        step = tree.depth_of[nid]
+        if step < len(layers.kids):
+            for child, label in layers.kids[step][tree.nodes[nid]]:
+                if tree.node_count >= node_cap:
+                    return tree
+                tree.add_child(nid, child, label)
+        nid += 1
+    return tree

@@ -16,7 +16,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import DEFAULT_NODE_CAP, ComputationTree, Defect, grow_tree
+from .core import DEFAULT_NODE_CAP, ComputationTree, Defect, unfold
 from .errors import (
     InputNotInAlphabet,
     InputTooLong,
@@ -274,15 +274,6 @@ def machine_step(spec: MachineSpec, config) -> tuple:
     return tuple(out)
 
 
-def _ancestor_with(tree: ComputationTree, nid: int, node) -> int | None:
-    cur: int | None = nid
-    while cur is not None:
-        if tree.nodes[cur] == node:
-            return cur
-        cur = tree.parent[cur]
-    return None
-
-
 def closure_run(
     root,
     successors_fn,
@@ -291,43 +282,38 @@ def closure_run(
     *,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> tuple[ComputationTree, str]:
-    """Expand breadth-first with per-branch loop closure and a verdict.
+    """Expand breadth-first, visiting each configuration once, with a verdict.
 
-    A client of :func:`causalcalc.core.grow_tree`. ``successors_fn(node)``
-    gives (node, label) pairs, deduplicated and in canonical order. A
-    successor equal to an ancestor on its own branch becomes a back-edge in
-    ``tree.loops`` instead of a node, and a node left without new children
-    is marked in ``tree.closed``. Nodes on the first level that holds an
-    accepting node are not expanded, so the run ends there, when every
-    branch is closed, or at ``budget`` steps. The verdict is read off the
-    finished tree: ACCEPT if some level accepted, REJECT_EXHAUSTED if the
-    tree ended short of ``budget``, NO_ACCEPT_WITHIN_BUDGET otherwise.
+    ``successors_fn(node)`` gives (node, label) pairs, deduplicated and in
+    canonical order. The tree is the :func:`causalcalc.core.unfold` of a
+    filter that keeps one map {configuration: step first reached} and drops
+    every successor already in it, so each reachable configuration is one
+    node, at its breadth-first distance from the root. Nodes on the first
+    level that holds an accepting node are not expanded, so the run ends
+    there, when no new configuration is reached, or at ``budget`` steps. The
+    verdict is read off the finished tree: ACCEPT if some level accepted,
+    REJECT_EXHAUSTED if the tree ended short of ``budget``,
+    NO_ACCEPT_WITHIN_BUDGET otherwise.
     """
+    reached = {root: 0}
     accepted_at = 0 if is_final(root) else None
 
-    def children(tree, nid):
+    def fresh(node, _forced):
         nonlocal accepted_at
-        step = tree.depth_of[nid] + 1
+        step = reached[node] + 1
         if accepted_at is not None and step > accepted_at:
             return ()
-        succs = successors_fn(tree.nodes[nid])
-        if not succs:
-            tree.closed[nid] = "stuck"
-            return ()
-        fresh = []
-        for child, label in succs:
-            back = _ancestor_with(tree, nid, child)
-            if back is not None:
-                tree.loops.append((nid, back, label))
+        out = []
+        for child, label in successors_fn(node):
+            if child in reached:
                 continue
-            fresh.append((child, label))
+            reached[child] = step
+            out.append((child, label))
             if accepted_at is None and is_final(child):
                 accepted_at = step
-        if not fresh:
-            tree.closed[nid] = "loop"
-        return fresh
+        return out
 
-    tree = grow_tree(root, budget, children, node_cap=node_cap)
+    tree = unfold(fresh, root, budget, node_cap=node_cap)
     if accepted_at is not None:
         return tree, ACCEPT
     if tree.depth_of[-1] < budget:
@@ -336,12 +322,8 @@ def closure_run(
 
 
 def plain_run(root, successors_fn, depth: int, *, node_cap: int = DEFAULT_NODE_CAP) -> ComputationTree:
-    """Expand to ``depth`` steps without loop closure, or until every branch has died."""
-
-    def children(tree, nid):
-        return successors_fn(tree.nodes[nid])
-
-    return grow_tree(root, depth, children, node_cap=node_cap)
+    """Expand to ``depth`` steps, revisits included, or until every branch has died."""
+    return unfold(lambda node, _forced: successors_fn(node), root, depth, node_cap=node_cap)
 
 
 def _config_sort_key(config) -> tuple:
@@ -373,8 +355,10 @@ def run_machine(
     """Run tree plus acceptance verdict for an input string.
 
     ACCEPT: some reachable configuration is in a final state within budget.
-    REJECT_EXHAUSTED: the whole tree closed (stuck or looping) without one.
-    NO_ACCEPT_WITHIN_BUDGET: open branches remained when the budget ran out.
+    REJECT_EXHAUSTED: every reachable configuration was reached short of
+    the budget, none of them final.
+    NO_ACCEPT_WITHIN_BUDGET: new configurations were still being reached
+    when the budget ran out.
     """
     require_valid(spec)
     root = initial_machine_config(spec, input_str, tape_len)

@@ -191,6 +191,26 @@ def walkback_lba() -> MachineSpec:
     )
 
 
+def walk_lba() -> MachineSpec:
+    """A reflecting walk that reconverges: the runs of bench's ``walk_lba``.
+
+    The markers turn the head back; every working cell may step either way,
+    writing ``b`` over ``a`` and ``a`` over ``b`` or a blank. Many branches
+    reach the same configuration, so its tree far outgrows its reachable set.
+    """
+    ts = [T("w", ">", "w", ">", 1), T("w", "<", "w", "<", -1)]
+    for read, write in (("a", "b"), ("b", "a"), ("#", "a")):
+        ts += [T("w", read, "w", write, -1), T("w", read, "w", write, 1)]
+    return MachineSpec(
+        kind="lba",
+        states=("w", "acc"),
+        initial="w",
+        finals=frozenset({"acc"}),
+        input_alphabet=("a", "b"),
+        transitions=tuple(ts),
+    )
+
+
 @pytest.fixture
 def counter():
     return counter_model()

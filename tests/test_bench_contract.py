@@ -57,6 +57,5 @@ def test_trees_carry_what_the_tracer_hooks_read(counter, parity_spec):
     assert spans.counts["core.expand_tree.nodes"] == 6
     assert spans.counts["core.holds_at.branches"] == 3
     assert spans.counts["machines.closure_run.nodes"] == 3
-    assert closed[0].loops == [(2, 0, 1)]
     assert spans.counts["machines.run_machine.nodes"] == machine_run[0].node_count
     assert spans.counts["compilers.calc_accepts.nodes"] == calc_run[0].node_count

@@ -170,6 +170,27 @@ def test_node_cap_flag_beats_env(monkeypatch, capsys, counter_file):
     assert main(["run", counter_file, "--root", '{"X": 8}', "--depth", "2"]) == 1
 
 
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_node_cap_below_one_is_a_usage_error(capsys, monkeypatch, counter_file, cap):
+    commands = [
+        ["run", counter_file, "--root", '{"X": 8}', "--depth", "2"],
+        ["cause", counter_file, "--root", '{"X": 0}', "--candidate", "X@0=0",
+         "--outcome", "X@1=0"],
+    ]
+    for argv in commands:
+        assert main(argv + ["--node-cap", cap]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: argument --node-cap: must be at least 1")
+    monkeypatch.setenv("CAUSAL_CALC_NODE_CAP", cap)
+    for argv in commands:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: CAUSAL_CALC_NODE_CAP must be at least 1, got {cap}\n"
+    assert main(commands[0] + ["--node-cap", "1"]) == 3
+
+
 # ---------------------------------------------------------- accepts
 
 def test_accepts_machine_and_model_routes(capsys, parity_file, parity_model_file):

@@ -1,0 +1,116 @@
+"""Closure runs visit each reachable configuration once.
+
+``run_machine`` and ``calc_accepts`` write every configuration reachable
+from the start as one node, at its breadth-first distance. Their verdicts
+and node counts must match a plain breadth-first search over
+``machine_step``, and machines must agree with their calculators, also on
+machines whose branches reconverge.
+"""
+
+import random
+
+from causalcalc import (
+    ACCEPT,
+    NO_ACCEPT_WITHIN_BUDGET,
+    REJECT_EXHAUSTED,
+    MachineSpec,
+    Transition,
+    calc_accepts,
+    compile_lba,
+    compile_lba_monolithic,
+    compile_ntm,
+    initial_machine_config,
+    machine_step,
+    run_machine,
+    validate_machine,
+)
+from conftest import walk_lba
+
+
+def reachable(spec, word, budget, tape_len):
+    """Breadth-first search to min(budget, first accepting level).
+
+    Returns the number of distinct configurations seen, whether one of them
+    is final, and whether the search ran out of new configurations short of
+    ``budget`` without accepting.
+    """
+    root = initial_machine_config(spec, word, tape_len)
+    seen, level, step = {root}, [root], 0
+    accepted = root.state in spec.finals
+    while level and step < budget and not accepted:
+        following = []
+        for config in level:
+            for child, _, _ in machine_step(spec, config):
+                if child not in seen:
+                    seen.add(child)
+                    following.append(child)
+        level = following
+        step += bool(level)
+        accepted = any(c.state in spec.finals for c in level)
+    return len(seen), accepted, not accepted and step < budget
+
+
+def random_spec(rng, kind):
+    """A valid lba or ntm over {a, b} with up to two moves per (state, symbol)."""
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 3))) + ("acc",)
+    symbols = ("a", "b", "#")
+    reads = symbols + ((">", "<") if kind == "lba" else ())
+    rows = set()
+    for src in states[:-1]:
+        for read in reads:
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                if read == ">":
+                    write, move = ">", rng.choice((0, 1))
+                elif read == "<":
+                    write, move = "<", rng.choice((-1, 0))
+                else:
+                    write, move = rng.choice(symbols), rng.choice((-1, 0, 1))
+                rows.add((src, read, rng.choice(states), write, move))
+    spec = MachineSpec(
+        kind=kind,
+        states=states,
+        initial="q0",
+        finals=frozenset({"acc"}),
+        input_alphabet=("a", "b"),
+        transitions=tuple(Transition(*row) for row in sorted(rows)),
+    )
+    assert validate_machine(spec) == []
+    return spec
+
+
+def test_reconverging_walk_exhausts_on_the_machine_and_both_calculators():
+    spec = walk_lba()
+    tree, verdict = run_machine(spec, "ab", 20, tape_len=4)
+    assert verdict == REJECT_EXHAUSTED
+    assert tree.node_count == reachable(spec, "ab", 20, 4)[0]
+    window, verdict = calc_accepts(compile_lba(spec, 4), "ab", 20)
+    assert verdict == REJECT_EXHAUSTED
+    whole, verdict = calc_accepts(compile_lba_monolithic(spec, 4), "ab", 20)
+    assert verdict == REJECT_EXHAUSTED
+    # the monolithic configuration is the machine configuration; the window
+    # one also records the last move and stale wall cells
+    assert whole.node_count == tree.node_count < window.node_count
+
+
+def test_closure_runs_count_the_reachable_set_and_agree_with_calculators():
+    rng = random.Random(20261018)
+    verdicts = {ACCEPT: 0, REJECT_EXHAUSTED: 0, NO_ACCEPT_WITHIN_BUDGET: 0}
+    for _ in range(150):
+        kind = rng.choice(("lba", "ntm"))
+        spec = random_spec(rng, kind)
+        word = "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+        tape_len = max(len(word), 1) + rng.randint(0, 1) if kind == "lba" else None
+        budget = rng.randint(0, 10)
+        tree, verdict = run_machine(spec, word, budget, tape_len=tape_len)
+        count, accepted, ran_out = reachable(spec, word, budget, tape_len)
+        assert tree.node_count == count
+        assert (verdict == ACCEPT) == accepted
+        assert (verdict == REJECT_EXHAUSTED) == ran_out
+        if kind == "lba":
+            calcs = [compile_lba(spec, tape_len), compile_lba_monolithic(spec, tape_len)]
+        else:
+            calcs = [compile_ntm(spec)]
+        for calc in calcs:
+            assert (calc_accepts(calc, word, budget)[1] == ACCEPT) == accepted
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 15, verdicts

@@ -150,6 +150,28 @@ def test_layers_raise_the_budget_error_of_the_tree():
     assert checked > 1000
 
 
+def test_the_cap_keeps_the_first_nodes_of_the_uncapped_tree():
+    """A cap raises only when the tree has more nodes than the cap (and the
+    root), at the first step that takes it past, with the first nodes."""
+    raised = 0
+    for _, model, root, _, depth, forced_fn in cases(150, 11):
+        full = expand_tree(model, root, depth, forced_fn=forced_fn)
+        for cap in range(full.node_count + 2):
+            if full.node_count <= max(cap, 1):
+                assert expand_tree(model, root, depth, node_cap=cap, forced_fn=forced_fn) == full
+                continue
+            step = next(d for d in range(1, depth + 1)
+                        if sum(1 for x in full.depth_of if x <= d) > cap)
+            message = rf"^node budget {cap} exhausted at step {step}$"
+            with pytest.raises(BudgetExceeded, match=message) as err:
+                expand_tree(model, root, depth, node_cap=cap, forced_fn=forced_fn)
+            partial, keep = err.value.partial, max(cap, 1)
+            assert (partial.nodes, partial.parent, partial.labels) == (
+                full.nodes[:keep], full.parent[:keep], full.labels[:keep])
+            raised += 1
+    assert raised > 1000
+
+
 def counter_layer_sizes(depth):
     """Nodes per step of the saturating counter's tree from 0, counted by value."""
     by_value = {0: 1}
