@@ -79,8 +79,18 @@ from .equivalence import (
     check_acceptance_matrix,
     check_equivalence,
 )
-from . import cli, errors, formats, reference
+from . import errors, formats, reference
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["cli"]
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use, so that ``python -m causalcalc.cli`` runs
+    # the module once, as __main__, and not also as a package member.
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,6 +13,7 @@ through the ``CAUSAL_CALC_NODE_CAP`` environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,6 +37,7 @@ from .errors import (
 from .formats import (
     cause_verdict_to_json,
     dumps_canonical,
+    dumps_tree,
     equiv_report_to_json,
     machine_from_json,
     matrix_report_to_json,
@@ -48,7 +50,6 @@ from .formats import (
     parse_timed,
     parse_variable_patterns,
     sweep_report_to_json,
-    tree_to_json,
 )
 from .interventions import (
     InterventionSpec,
@@ -89,7 +90,9 @@ class _Cap(_Bound):
     least = 1
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process; parsing keeps no state in it."""
     p = _Parser(prog="causalcalc", description="causal calculators for machine runs")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -181,7 +184,10 @@ def _load_json(path):
 
 
 def _emit(payload, out_path) -> None:
-    text = dumps_canonical(payload)
+    _write(dumps_canonical(payload), out_path)
+
+
+def _write(text, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -231,9 +237,9 @@ def _cmd_run(args) -> int:
     try:
         tree = expand_tree(model, root, args.depth, node_cap=_node_cap(args), labeler=labeler)
     except BudgetExceeded as exc:
-        _emit(tree_to_json(exc.partial, truncated=True), args.out)
+        _write(dumps_tree(exc.partial, truncated=True), args.out)
         return 3
-    _emit(tree_to_json(tree), args.out)
+    _write(dumps_tree(tree), args.out)
     return 0
 
 
@@ -304,9 +310,9 @@ def _cmd_intervene(args) -> int:
                 model, root, spec, args.depth, node_cap=_node_cap(args), labeler=labeler
             )
     except BudgetExceeded as exc:
-        _emit(tree_to_json(exc.partial, truncated=True), args.out)
+        _write(dumps_tree(exc.partial, truncated=True), args.out)
         return 3
-    _emit(tree_to_json(tree), args.out)
+    _write(dumps_tree(tree), args.out)
     return 0
 
 

@@ -337,25 +337,56 @@ def model_from_json(data):
 
 # ---------------------------------------------------------------- trees
 
+def _record_value(payload) -> str:
+    """Canonical text of a value inside a tree record, indented to its level.
+
+    JSON escapes newlines inside strings, so every newline here is structural.
+    """
+    return json.dumps(payload, sort_keys=True, indent=2).replace("\n", "\n      ")
+
+
+def _records(records: list) -> str:
+    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+
+
+def dumps_tree(tree, truncated: bool = False) -> str:
+    """The canonical text of a tree, ``dumps_canonical`` of its JSON form.
+
+    The record shape is fixed, so it is written directly: each distinct
+    configuration's assignment and each distinct edge label is encoded once.
+    """
+    assigns = {}
+    nodes = []
+    for i, (config, depth) in enumerate(zip(tree.nodes, tree.depth_of)):
+        assign = assigns.get(config)
+        if assign is None:
+            assign = assigns[config] = _record_value(
+                {v.render(): value_to_json(x) for v, x in config.support}
+            )
+        nodes.append(
+            f'    {{\n      "assign": {assign},\n      "depth": {depth:d},\n'
+            f'      "id": {i:d}\n    }}'
+        )
+    labels = {"None": "null"}  # by repr, which tells 1, True and "1" apart
+    edges = []
+    for i, (parent, label) in enumerate(zip(tree.parent, tree.labels)):
+        if parent is None:
+            continue
+        text = labels.get(repr(label))
+        if text is None:
+            text = labels[repr(label)] = _record_value(value_to_json(label))
+        edges.append(
+            f'    {{\n      "from": {parent:d},\n      "label": {text},\n      "to": {i:d}\n    }}'
+        )
+    return (
+        f'{{\n  "depth": {json.dumps(tree.depth)},\n  "edges": {_records(edges)},\n'
+        f'  "nodes": {_records(nodes)},\n  "truncated": {json.dumps(truncated)}\n}}\n'
+    )
+
+
 def tree_to_json(tree, truncated: bool = False) -> dict:
-    nodes = [
-        {
-            "id": i,
-            "depth": tree.depth_of[i],
-            "assign": {v.render(): value_to_json(x) for v, x in tree.nodes[i].support},
-        }
-        for i in range(tree.node_count)
-    ]
-    edges = [
-        {
-            "from": tree.parent[i],
-            "to": i,
-            "label": None if tree.labels[i] is None else value_to_json(tree.labels[i]),
-        }
-        for i in range(tree.node_count)
-        if tree.parent[i] is not None
-    ]
-    return {"depth": tree.depth, "truncated": truncated, "nodes": nodes, "edges": edges}
+    """The tree's JSON form, read back from ``dumps_tree``."""
+    return json.loads(dumps_tree(tree, truncated))
 
 
 # ---------------------------------------------------------------- reports

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from causalcalc.cli import main
+from causalcalc.cli import _build_parser, main
 from causalcalc.formats import dumps_canonical, machine_to_json, model_to_json
 
 
@@ -105,6 +105,37 @@ def test_negative_depth_and_budget_are_usage_errors(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage error" in captured.err and "must be at least 0" in captured.err
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(
+    capsys, counter_file, parity_file, parity_model_file
+):
+    sweep = ["sweep", counter_file, "--root", '{"X": 8}', "--vars", "X", "--steps", "0..1",
+             "--outcome", "X@2=9"]
+    commands = [
+        ["run", counter_file, "--root", '{"X": 8}', "--depth", "-1"],
+        sweep + ["--mode", "all", "--k", "2"],
+        sweep,
+        ["bisim", parity_file, parity_model_file, "--input", "1", "--depth", "2"],
+    ]
+
+    def call(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    _build_parser.cache_clear()
+    shared = [call(argv) for argv in commands]
+    fresh = []
+    for argv in commands:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert shared == fresh
+    assert shared[0][0] == 1 and "must be at least 0" in shared[0][2]
+    all_pairs, some_singles = shared[1][1].splitlines(), shared[2][1].splitlines()
+    assert all_pairs[0].endswith("mode=all") and "+" in all_pairs[1]
+    assert some_singles[0].endswith("mode=some") and "+" not in some_singles[1]
+    assert shared[3][0] == 0 and json.loads(shared[3][1])["equivalent"]
 
 
 # ---------------------------------------------------------- run
@@ -428,6 +459,19 @@ def test_python_dash_m_runs_the_command(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "causalcalc", "run", "missing.json", "--depth", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "missing.json" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_python_dash_m_runs_the_cli_module(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "causalcalc.cli", "run", "missing.json", "--depth", "1"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1

@@ -1,4 +1,4 @@
-"""Fuzzers for the machine file and the intervention grammar.
+"""Fuzzers for the machine file, the intervention grammar and the tree writer.
 
 Every valid machine spec survives a dump and load through canonical JSON
 unchanged; any other JSON either loads or fails with ``FormatError`` or
@@ -6,7 +6,9 @@ unchanged; any other JSON either loads or fails with ``FormatError`` or
 machine's kind is a ``FormatError``. Every ``InterventionSyntax`` the grammar
 raises points at an offset inside the text it was given, so the CLI's
 ``(at offset N)`` is always a real place; any other failure is a package
-error, never a traceback.
+error, never a traceback. ``dumps_tree`` writes the bytes the generic
+encoder writes for a tree's JSON form built as dicts, on random table models
+and compiled fixtures, whole or cut at a node cap.
 """
 
 import json
@@ -14,10 +16,34 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from causalcalc import active_variables, compile_lba, compile_machine
-from causalcalc.errors import CausalCalcError, FormatError, InterventionSyntax, InvalidMachineKind
+from causalcalc import (
+    Model,
+    PlainVar,
+    Signature,
+    TableEquation,
+    VarId,
+    active_variables,
+    calc_labeler,
+    compile_lba,
+    compile_lba_monolithic,
+    compile_machine,
+    compile_ntm,
+    compile_tm,
+    edge_label,
+    expand_tree,
+    render_value,
+)
+from causalcalc.cli import main
+from causalcalc.errors import (
+    BudgetExceeded,
+    CausalCalcError,
+    FormatError,
+    InterventionSyntax,
+    InvalidMachineKind,
+)
 from causalcalc.formats import (
     dumps_canonical,
+    dumps_tree,
     machine_from_json,
     machine_to_json,
     model_from_json,
@@ -26,6 +52,8 @@ from causalcalc.formats import (
     parse_rewrites,
     parse_steps,
     parse_variable_patterns,
+    tree_to_json,
+    value_to_json,
 )
 from causalcalc.machines import KINDS, MOVES, MachineSpec, Transition, validate_machine
 from conftest import abc_lba, alternation_tm, counter_model, guess_ntm, parity_lba
@@ -163,3 +191,124 @@ def test_syntax_errors_point_inside_the_text(parser, text):
         assert exc.position is not None and 0 <= exc.position <= len(text), (text, exc)
     except CausalCalcError:
         pass
+
+
+# ------------------------------------------------------------ tree writer
+
+
+def ref(tree, truncated=False):
+    """The reference for the tree writer: the tree's JSON form built as dicts."""
+    nodes = [
+        {
+            "id": i,
+            "depth": tree.depth_of[i],
+            "assign": {v.render(): value_to_json(x) for v, x in tree.nodes[i].support},
+        }
+        for i in range(tree.node_count)
+    ]
+    edges = [
+        {
+            "from": tree.parent[i],
+            "to": i,
+            "label": None if tree.labels[i] is None else value_to_json(tree.labels[i]),
+        }
+        for i in range(tree.node_count)
+        if tree.parent[i] is not None
+    ]
+    return {"depth": tree.depth, "truncated": truncated, "nodes": nodes, "edges": edges}
+
+
+# strings with escapes (quotes, backslashes, control characters, non-ASCII)
+# next to negative ints and nested tuples
+TREE_VALUES = st.recursive(
+    st.integers(-40, 40) | st.text(max_size=4) | st.sampled_from(['"', "\\", "\n\t\x00", "é✓"]),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=5,
+)
+
+COMPILED = [
+    compile_lba(parity_lba(), 2),
+    compile_lba_monolithic(parity_lba(), 2),
+    compile_tm(alternation_tm()),
+    compile_ntm(guess_ntm()),
+]
+
+
+@st.composite
+def table_trees(draw):
+    """A random table model, a root, and a labeler over drawn labels or none."""
+    names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=3, unique=True))
+    ranges = {
+        n: draw(st.lists(TREE_VALUES, min_size=2, max_size=3, unique_by=render_value))
+        for n in names
+    }
+    own = {n: (VarId(n),) for n in names}
+
+    def outputs(n):  # an empty output set leaves a dead branch
+        return frozenset(x for x in ranges[n] if draw(st.booleans()))
+
+    equations = {n: TableEquation({(x,): outputs(n) for x in ranges[n]}) for n in names}
+    model = Model(
+        Signature([PlainVar(n, frozenset(r)) for n, r in ranges.items()], domains=own), equations
+    )
+    root = model.configuration({VarId(n): draw(st.sampled_from(r)) for n, r in ranges.items()})
+    labels = draw(st.lists(st.none() | TREE_VALUES, min_size=1, max_size=3))
+    first = VarId(names[0])
+
+    def labeler(parent, child):
+        return labels[len(render_value(child.get(first))) % len(labels)]
+
+    return model, root, draw(st.sampled_from([labeler, None]))
+
+
+@st.composite
+def compiled_trees(draw):
+    """A compiled fixture, a root, and the moves as labels or inside tuple labels."""
+    calc = draw(st.sampled_from(COMPILED))
+    root = calc.initial(draw(st.text(alphabet="01", max_size=2)))
+    tag = draw(TREE_VALUES)
+
+    def labeler(parent, child):
+        return (edge_label(calc, parent, child), tag)
+
+    return calc.model, root, draw(st.sampled_from([labeler, calc_labeler(calc)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_trees() | compiled_trees(), st.sampled_from([1, 3, 8, 30, 200]))
+def test_tree_writer_matches_the_generic_encoder(case, node_cap):
+    model, root, labeler = case
+    for depth in range(6):  # the root alone, then deeper and wider trees
+        try:
+            tree = expand_tree(model, root, depth, node_cap=node_cap, labeler=labeler)
+            truncated = False
+        except BudgetExceeded as exc:
+            tree, truncated = exc.partial, True
+        want = ref(tree, truncated)
+        assert dumps_tree(tree, truncated) == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        assert tree_to_json(tree, truncated) == want
+
+
+@pytest.mark.parametrize(
+    "model, argv, code",
+    [
+        ("counter", ["run", "--root", '{"X": 8}', "--depth", "4"], 0),
+        ("counter", ["run", "--root", '{"X": 8}', "--depth", "6", "--node-cap", "20"], 3),
+        ("counter", ["intervene", "--root", '{"X": 8}', "--depth", "3", "--do", "X@1=5"], 0),
+        ("parity", ["run", "--input", "11", "--depth", "5"], 0),
+        ("guess", ["run", "--input", "01", "--depth", "6", "--node-cap", "4"], 3),
+    ],
+    ids=["run", "truncated", "intervene", "labelled", "labelled-truncated"],
+)
+def test_out_file_gets_the_bytes_stdout_gets(capsys, tmp_path, model, argv, code):
+    calcs = {"counter": COUNTER, "parity": COMPILED[0], "guess": COMPILED[3]}
+    path = tmp_path / "model.json"
+    path.write_text(dumps_canonical(model_to_json(calcs[model])))
+    argv = [argv[0], str(path), *argv[1:]]
+    assert main(argv) == code
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+    assert stdout == dumps_canonical(json.loads(stdout))
