@@ -33,7 +33,7 @@ from .core import (
     RuleEquation,
     Signature,
     VarId,
-    successors,
+    memo_successors,
 )
 from .errors import (
     InvalidMachineKind,
@@ -54,6 +54,8 @@ from .machines import (
 CELL = "X"
 STATE = "S"
 WHOLE = "V"
+# most values a monolithic lba calculator's whole-configuration range may hold
+MAX_WHOLE_RANGE = 10**8
 
 
 def delta_f_image(spec: MachineSpec, state: str, symbol: str) -> tuple:
@@ -342,9 +344,7 @@ def compile_tm(spec: MachineSpec) -> CalculatorModel:
     return CalculatorModel(model, "tm", spec, None, spec.fingerprint())
 
 
-def compile_lba_monolithic(
-    spec: MachineSpec, tape_len: int, *, max_range_size: int = 10**8
-) -> CalculatorModel:
+def compile_lba_monolithic(spec: MachineSpec, tape_len: int) -> CalculatorModel:
     require_valid(spec)
     if spec.kind != "lba":
         raise InvalidMachineKind(f"expected an lba spec, got {spec.kind}")
@@ -353,9 +353,9 @@ def compile_lba_monolithic(
     rng = WholeConfigRange(spec, tape_len)
     # every cell holds one of at least two symbols, so a tape longer than the
     # cap's bit length is too large without computing the (huge) size
-    if tape_len > max_range_size.bit_length() or rng.size() > max_range_size:
+    if tape_len > MAX_WHOLE_RANGE.bit_length() or rng.size() > MAX_WHOLE_RANGE:
         raise RangeTooLarge(
-            f"whole-config range of a {tape_len}-cell tape exceeds {max_range_size} values"
+            f"whole-config range of a {tape_len}-cell tape exceeds {MAX_WHOLE_RANGE} values"
         )
     sig = Signature(plain=[PlainVar(WHOLE, rng)])
     model = Model(sig, {WHOLE: WholeConfigRule(spec, tape_len)})
@@ -488,7 +488,7 @@ def calc_accepts(
     root = initial_calc_config(calc, input_str)
     return closure_run(
         root,
-        lambda cfg: [(c, edge_label(calc, cfg, c)) for c in successors(calc.model, cfg)],
+        memo_successors(calc.model, calc_labeler(calc)),
         calc.accepting,
         budget,
         node_cap=node_cap,

@@ -8,7 +8,9 @@ node. A deterministic TM run is that walk with one child per node. The walk
 stops at the first mismatch and reports it at the label path of the pair
 whose children disagree. A fraction of visited calculator nodes is
 re-expanded through the independent reference interpreter as a cross-check
-on the successor computation itself.
+on the successor computation itself. Every calculator expansion, the walk's
+and the cross-check's, goes through one ``core.memo_successors`` per check,
+the route every other query uses.
 """
 
 from __future__ import annotations
@@ -16,19 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .core import DEFAULT_NODE_CAP, Configuration, successors
-from .compilers import (
-    CalculatorModel,
-    calc_accepts,
-    decode_config,
-    edge_label,
-    initial_calc_config,
-)
+from .core import DEFAULT_NODE_CAP, SuccessorFn, memo_successors
+from .compilers import CalculatorModel, calc_accepts, calc_labeler, decode_config, initial_calc_config
 from .errors import KindMismatch, UndecodableConfig
 from .machines import MachineSpec, initial_machine_config, machine_step, require_valid, run_machine
 from . import reference
-
-MACHINE_KIND_OF = {"lba": "lba", "ntm": "ntm", "tm": "tm", "lba_mono": "lba"}
 
 
 @dataclass
@@ -45,11 +39,15 @@ class Counterexample:
 
 @dataclass
 class EquivReport:
+    """``machine_nodes`` and ``calc_nodes`` count the walk's (move, configuration)
+    pairs per level: two moves into one configuration are two pairs, though
+    ``machines.machine_tree`` keeps one node for them."""
+
     equivalent: bool
     kind: str
     input: str
     depth: int
-    machine_nodes: list[int] = field(default_factory=list)  # per level
+    machine_nodes: list[int] = field(default_factory=list)
     calc_nodes: list[int] = field(default_factory=list)
     rechecked: int = 0
     counterexample: Counterexample | None = None
@@ -57,21 +55,19 @@ class EquivReport:
 
 def _compat(spec: MachineSpec, calc: CalculatorModel):
     require_valid(spec)
-    if MACHINE_KIND_OF.get(calc.kind) != spec.kind:
+    if calc.machine.kind != spec.kind:
         raise KindMismatch(f"{calc.kind} calculator cannot simulate a {spec.kind} machine")
     if calc.machine_hash != spec.fingerprint():
         raise KindMismatch("calculator was compiled from a different machine")
 
 
-def _recheck(calc: CalculatorModel, visited: list[Configuration], fraction: float, seed: int):
-    """Compare main-route and reference-route successors on a random sample."""
-    if not visited:
-        return 0, None
+def _recheck(calc: CalculatorModel, succ: SuccessorFn, visited: list, fraction: float, seed: int):
+    """Compare main-route (``succ``) and reference-route successors on a random sample."""
     rng = random.Random(seed)
     k = max(1, int(len(visited) * fraction))
     sample = rng.sample(visited, min(k, len(visited)))
     for cfg in sample:
-        if frozenset(successors(calc.model, cfg)) != reference.successor_set(calc, cfg):
+        if frozenset(c for c, _ in succ(cfg)) != reference.successor_set(calc, cfg):
             return len(sample), Counterexample(
                 "reference_disagreement",
                 (),
@@ -97,6 +93,7 @@ def check_equivalence(
     mroot = initial_machine_config(spec, input_str, calc.tape_len)
     croot = initial_calc_config(calc, input_str)
     visited = [croot]
+    succ = memo_successors(calc.model, calc_labeler(calc))
 
     def fail(kind, path, detail, m=None, c=None):
         report.equivalent = False
@@ -114,8 +111,7 @@ def check_equivalence(
         for m, c, labels in pairs:
             mkeys = {(d, child) for child, _, d in machine_step(spec, m)}
             ckeys = {}
-            for child in successors(calc.model, c):
-                d = edge_label(calc, c, child)
+            for child, d in succ(c):
                 try:
                     decoded = decode_config(calc, child, labels + (d,))
                 except UndecodableConfig as exc:
@@ -143,7 +139,7 @@ def check_equivalence(
         report.calc_nodes.append(len(pairs))
         if not pairs:
             break
-    report.rechecked, bad = _recheck(calc, visited, recheck_fraction, seed)
+    report.rechecked, bad = _recheck(calc, succ, visited, recheck_fraction, seed)
     if bad is not None:
         report.equivalent = False
         report.counterexample = bad

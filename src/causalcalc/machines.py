@@ -179,7 +179,7 @@ def require_valid(spec: MachineSpec) -> MachineSpec:
     return spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LbaConfig:
     """Absolute-position configuration; tape includes both markers."""
 
@@ -188,7 +188,7 @@ class LbaConfig:
     tape: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TapeConfig:
     """Head-relative configuration: the scanned cell is index 0."""
 
@@ -326,12 +326,6 @@ def plain_run(root, successors_fn, depth: int, *, node_cap: int = DEFAULT_NODE_C
     return unfold(lambda node, _forced: successors_fn(node), root, depth, node_cap=node_cap)
 
 
-def _config_sort_key(config) -> tuple:
-    if isinstance(config, LbaConfig):
-        return (config.state, config.head, config.tape)
-    return (config.state, config.cells)
-
-
 def _machine_children(spec: MachineSpec, cfg) -> list:
     """Successors as (config, (transition, move)) pairs in canonical order.
 
@@ -339,7 +333,7 @@ def _machine_children(spec: MachineSpec, cfg) -> list:
     transition order is kept.
     """
     kids = {}
-    for child, t, d in sorted(machine_step(spec, cfg), key=lambda s: _config_sort_key(s[0])):
+    for child, t, d in sorted(machine_step(spec, cfg), key=lambda s: s[0]):
         kids.setdefault(child, (t, d))
     return list(kids.items())
 

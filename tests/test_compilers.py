@@ -224,11 +224,12 @@ def test_whole_config_range_membership(parity_spec):
 
 def test_monolithic_compile_honors_the_size_cap(parity_spec):
     with pytest.raises(RangeTooLarge):
-        compile_lba_monolithic(parity_spec, 2, max_range_size=100)
+        compile_lba_monolithic(parity_spec, 10)  # 351,562,500 values
     with pytest.raises(RangeTooLarge):
         compile_lba_monolithic(parity_spec, 100_000)  # too long to even size
     calc = compile_lba_monolithic(parity_spec, 2)
     assert calc.kind == "lba_mono"
+    assert compile_lba_monolithic(parity_spec, 9).kind == "lba_mono"  # 64,453,125 values
 
 
 def test_dispatch_checks_kinds(tm_spec, ntm_spec, parity_spec):

@@ -1,13 +1,18 @@
+import collections
 import dataclasses
+import random
 
 import pytest
 
 from causalcalc import (
     ACCEPT,
     REJECT_EXHAUSTED,
+    MachineSpec,
     Model,
     OverrideEquation,
+    Transition,
     VarId,
+    calc_accepts,
     check_acceptance_matrix,
     check_equivalence,
     compile_lba,
@@ -15,11 +20,13 @@ from causalcalc import (
     compile_ntm,
     compile_tm,
     expand_tree,
+    machine_tree,
     run_machine,
 )
-from causalcalc import reference
+from causalcalc import core, reference
 from causalcalc.errors import KindMismatch
-from conftest import sweep_lba
+from conftest import sweep_lba, walk_lba
+from test_closure import random_spec
 
 
 def corrupted(calc, row, outputs):
@@ -183,3 +190,72 @@ def test_acceptance_matrix_flags_a_lying_calculator(parity_spec):
     assert not matrix.all_agree
     (row,) = matrix.rows
     assert (row.machine_verdict, row.calc_verdict) == (REJECT_EXHAUSTED, ACCEPT)
+
+
+def test_machine_nodes_count_walk_pairs_not_machine_tree_nodes():
+    # two moves from q0 on a blank tape reach the same head-relative configuration
+    spec = MachineSpec(
+        kind="ntm",
+        states=("q0", "acc"),
+        initial="q0",
+        finals=frozenset({"acc"}),
+        input_alphabet=("a",),
+        transitions=(Transition("q0", "#", "acc", "#", -1), Transition("q0", "#", "acc", "#", 1)),
+    )
+    report = check_equivalence(spec, compile_ntm(spec), "", 3)
+    assert report.equivalent
+    assert report.machine_nodes == report.calc_nodes == [1, 2, 2, 2]
+    tree = machine_tree(spec, "", 3)
+    assert [len(tree.nodes_at(step)) for step in range(4)] == [1, 1, 1, 1]
+
+
+def test_calculator_expansions_reach_successor_choices_once_per_configuration(monkeypatch):
+    calls = collections.Counter()
+    original = core.successor_choices
+
+    def spy(model, config, forced=None):
+        calls[(config, frozenset(forced.items()) if forced else None)] += 1
+        return original(model, config, forced)
+
+    monkeypatch.setattr(core, "successor_choices", spy)
+    spec = walk_lba()
+    for calc in (compile_lba(spec, 4), compile_lba_monolithic(spec, 4)):
+        calls.clear()
+        report = check_equivalence(spec, calc, "ab", 8, recheck_fraction=1.0)
+        assert report.equivalent
+        assert calls and max(calls.values()) == 1, calc.kind
+        calls.clear()
+        calc_accepts(calc, "ab", 8)
+        assert calls and max(calls.values()) == 1, calc.kind
+
+
+def _reference_levels(calc, root, depth):
+    """Level sizes of the reference interpreter's tree, empty levels dropped."""
+    sizes, level = [], [reference.expand(calc, root, depth)]
+    while level:
+        sizes.append(len(level))
+        level = [kid for node in level for kid in node["children"]]
+    return sizes
+
+
+def test_walks_on_random_machines_count_the_calculator_tree():
+    rng = random.Random(20261018)
+    cases = 0
+    for kind in ("lba",) * 20 + ("ntm",) * 16:
+        spec = random_spec(rng, kind)
+        word = "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+        if kind == "lba":
+            tape_len = max(len(word), 1) + rng.randint(0, 1)
+            calcs = [compile_lba(spec, tape_len), compile_lba_monolithic(spec, tape_len)]
+        else:
+            calcs = [compile_ntm(spec)]
+        for calc in calcs:
+            for depth in range(8):
+                report = check_equivalence(spec, calc, word, depth, recheck_fraction=1.0)
+                assert report.equivalent, (spec, calc.kind, word, depth)
+                levels = _reference_levels(calc, calc.initial(word), depth)
+                assert report.calc_nodes in (levels, levels + [0])
+                assert report.machine_nodes == report.calc_nodes
+                assert report.rechecked == sum(report.calc_nodes)
+                cases += 1
+    assert cases == 448
