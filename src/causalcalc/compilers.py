@@ -54,6 +54,7 @@ from .machines import (
 CELL = "X"
 STATE = "S"
 WHOLE = "V"
+HEAD_ID, STATE_ID, WHOLE_ID = VarId(CELL, 0), VarId(STATE), VarId(WHOLE)
 # most values a monolithic lba calculator's whole-configuration range may hold
 MAX_WHOLE_RANGE = 10**8
 
@@ -86,10 +87,10 @@ class CalculatorModel:
 
     def accepting(self, config: Configuration) -> bool:
         if self.kind == "tm":
-            return config.get(VarId(STATE)) in self.machine.finals
+            return config.get(STATE_ID) in self.machine.finals
         if self.kind == "lba_mono":
-            return config.get(VarId(WHOLE))[0] in self.machine.finals
-        return config.get(VarId(CELL, 0))[0] in self.machine.finals
+            return config.get(WHOLE_ID)[0] in self.machine.finals
+        return config.get(HEAD_ID)[0] in self.machine.finals
 
 
 class _MachineRule(RuleEquation):
@@ -134,15 +135,15 @@ class LbaWindowRule(_MachineRule):
         if index is None or not -w <= index <= w:
             raise ValueError(f"{CELL}_{index} outside the window")
         if index == 0:
-            return (VarId(CELL, -1), VarId(CELL, 0), VarId(CELL, 1))
+            return (VarId(CELL, -1), HEAD_ID, VarId(CELL, 1))
         if index == w:
-            return (VarId(CELL, 0), VarId(CELL, w - 1), VarId(CELL, w))
+            return (HEAD_ID, VarId(CELL, w - 1), VarId(CELL, w))
         if index == -w:
-            return (VarId(CELL, 0), VarId(CELL, -w), VarId(CELL, -w + 1))
-        return (VarId(CELL, 0), VarId(CELL, index - 1), VarId(CELL, index), VarId(CELL, index + 1))
+            return (HEAD_ID, VarId(CELL, -w), VarId(CELL, -w + 1))
+        return (HEAD_ID, VarId(CELL, index - 1), VarId(CELL, index), VarId(CELL, index + 1))
 
     def outputs(self, index, view) -> frozenset:
-        state, written, move = view[VarId(CELL, 0)]
+        state, written, move = view[HEAD_ID]
         if index == 0:
             neighbor = view[VarId(CELL, move)]
             scanned = written if move == 0 else neighbor
@@ -167,15 +168,15 @@ class NtmWindowRule(_MachineRule):
         if index is None:
             raise ValueError(f"{CELL} is a family; a member index is required")
         if index == 0:
-            return (VarId(CELL, -1), VarId(CELL, 0), VarId(CELL, 1))
-        out = [VarId(CELL, 0)]
+            return (VarId(CELL, -1), HEAD_ID, VarId(CELL, 1))
+        out = [HEAD_ID]
         for j in (index - 1, index, index + 1):
             if j != 0:
                 out.append(VarId(CELL, j))
         return tuple(out)
 
     def outputs(self, index, view) -> frozenset:
-        state, written, move = view[VarId(CELL, 0)]
+        state, written, move = view[HEAD_ID]
         if index == 0:
             neighbor = view[VarId(CELL, move)]
             scanned = written if move == 0 else neighbor
@@ -192,13 +193,13 @@ class TmStateRule(_MachineRule):
     def domain_of(self, index):
         if index is not None:
             raise ValueError(f"{STATE} is plain")
-        return (VarId(STATE), VarId(CELL, 0))
+        return (STATE_ID, HEAD_ID)
 
     def outputs(self, index, view) -> frozenset:
-        state = view[VarId(STATE)]
+        state = view[STATE_ID]
         if state in self.spec.finals:
             return frozenset([state])
-        scanned = view[VarId(CELL, 0)]
+        scanned = view[HEAD_ID]
         entries = self.spec.delta.get((state, scanned), ())
         if not entries:
             raise StuckConfiguration(f"no move from ({state},{scanned})")
@@ -213,17 +214,17 @@ class TmCellRule(_MachineRule):
     def domain_of(self, index: int | None) -> tuple[VarId, ...]:
         if index is None:
             raise ValueError(f"{CELL} is a family; a member index is required")
-        out = [VarId(CELL, 0), VarId(STATE)]
+        out = [HEAD_ID, STATE_ID]
         for j in (index - 1, index, index + 1):
             if j != 0:
                 out.append(VarId(CELL, j))
         return tuple(out)
 
     def outputs(self, index, view) -> frozenset:
-        state = view[VarId(STATE)]
+        state = view[STATE_ID]
         if state in self.spec.finals:
             return frozenset([view[VarId(CELL, index)]])
-        scanned = view[VarId(CELL, 0)]
+        scanned = view[HEAD_ID]
         entries = self.spec.delta.get((state, scanned), ())
         if not entries:
             raise StuckConfiguration(f"no move from ({state},{scanned})")
@@ -283,10 +284,10 @@ class WholeConfigRule(_MachineRule):
     def domain_of(self, index):
         if index is not None:
             raise ValueError(f"{WHOLE} is plain")
-        return (VarId(WHOLE),)
+        return (WHOLE_ID,)
 
     def outputs(self, index, view) -> frozenset:
-        value = view[VarId(WHOLE)]
+        value = view[WHOLE_ID]
         state, head, tape = value[0], value[1], list(value[2:])
         out = []
         for q, g, d in delta_f_image(self.spec, state, tape[head]):
@@ -383,19 +384,19 @@ def initial_calc_config(calc: CalculatorModel, input_str: str) -> Configuration:
     spec = calc.machine
     if calc.kind == "lba":
         m = initial_machine_config(spec, input_str, calc.tape_len)
-        assign = {VarId(CELL, 0): (spec.initial, m.tape[0], 0)}
+        assign = {HEAD_ID: (spec.initial, m.tape[0], 0)}
         for i, g in enumerate(m.tape):
             if i > 0:
                 assign[VarId(CELL, i)] = g
         return calc.model.configuration(assign)
     if calc.kind == "lba_mono":
         m = initial_machine_config(spec, input_str, calc.tape_len)
-        return calc.model.configuration({VarId(WHOLE): (m.state, m.head, *m.tape)})
+        return calc.model.configuration({WHOLE_ID: (m.state, m.head, *m.tape)})
     if calc.kind == "tm":
         m = initial_machine_config(spec, input_str)
         return encode_tm_config(calc, m)
     m = initial_machine_config(spec, input_str)
-    assign = {VarId(CELL, 0): (spec.initial, m.cell(0, spec.blank), 0)}
+    assign = {HEAD_ID: (spec.initial, m.cell(0, spec.blank), 0)}
     for i, g in m.cells:
         if i != 0:
             assign[VarId(CELL, i)] = g
@@ -405,7 +406,7 @@ def initial_calc_config(calc: CalculatorModel, input_str: str) -> Configuration:
 def encode_tm_config(calc: CalculatorModel, m: TapeConfig) -> Configuration:
     if calc.kind != "tm":
         raise MalformedConfig(f"tm encoding asked of a {calc.kind} calculator")
-    assign = {VarId(STATE): m.state}
+    assign = {STATE_ID: m.state}
     for i, g in m.cells:
         assign[VarId(CELL, i)] = g
     return calc.model.configuration(assign)
@@ -420,7 +421,7 @@ def decode_config(calc: CalculatorModel, config: Configuration, labels: tuple = 
     """
     spec = calc.machine
     if calc.kind == "tm":
-        state = config.get(VarId(STATE))
+        state = config.get(STATE_ID)
         cells = {
             var.index: val
             for var, val in config.support
@@ -429,10 +430,10 @@ def decode_config(calc: CalculatorModel, config: Configuration, labels: tuple = 
         return TapeConfig(state, tuple(sorted(cells.items())))
 
     if calc.kind == "lba_mono":
-        value = config.get(VarId(WHOLE))
+        value = config.get(WHOLE_ID)
         return LbaConfig(value[0], value[1], tuple(value[2:]))
 
-    triple = config.get(VarId(CELL, 0))
+    triple = config.get(HEAD_ID)
     state, written, move = triple
     if labels and labels[-1] != move:
         raise UndecodableConfig(
@@ -463,13 +464,13 @@ def decode_config(calc: CalculatorModel, config: Configuration, labels: tuple = 
 def edge_label(calc: CalculatorModel, parent: Configuration, child: Configuration) -> int:
     """The move taken on this tree edge."""
     if calc.kind in ("lba", "ntm"):
-        return child.get(VarId(CELL, 0))[2]
+        return child.get(HEAD_ID)[2]
     if calc.kind == "lba_mono":
-        return child.get(VarId(WHOLE))[1] - parent.get(VarId(WHOLE))[1]
-    state = parent.get(VarId(STATE))
+        return child.get(WHOLE_ID)[1] - parent.get(WHOLE_ID)[1]
+    state = parent.get(STATE_ID)
     if state in calc.machine.finals:
         return 0
-    scanned = parent.get(VarId(CELL, 0))
+    scanned = parent.get(HEAD_ID)
     return calc.machine.delta[(state, scanned)][0].move
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (
     BudgetExceeded,
@@ -27,6 +27,7 @@ from .errors import (
 Value = Union[str, int, tuple]
 
 DEFAULT_NODE_CAP = 1_000_000
+_MUST_ASSIGN = object()  # the default of a variable that has none
 
 
 def render_value(value: Value) -> str:
@@ -53,8 +54,7 @@ def value_key(value: Value):
     return (str(value), value.__class__.__name__, value)
 
 
-@dataclass(frozen=True)
-class VarId:
+class VarId(NamedTuple):  # a tuple, so it hashes and compares at C speed
     """A variable identity: plain name, or family name plus member index."""
 
     name: str
@@ -114,9 +114,6 @@ class Family:
             return False
         return True
 
-    def member_range(self, index: int) -> frozenset:
-        return self.overrides.get(index, self.values)
-
     @property
     def bounded(self) -> bool:
         return self.lo is not None and self.hi is not None
@@ -141,6 +138,11 @@ class Signature:
             self._family_by_name
         ) != len(self.families):
             raise ValueError(f"duplicate variable names in signature: {sorted(dupes)}")
+        self._required = [(VarId(p.name), f"plain variable {p.name} unassigned") for p in self.plain]
+        self._required += [
+            (VarId(f.name, i), f"{f.name}_{i} must be assigned") for f in self.families for i in f.overrides
+        ]
+        self._slots, self._renderings = {}, {}  # filled by slot() and rendering()
 
     def __eq__(self, other):
         return (
@@ -163,15 +165,35 @@ class Signature:
         return fam is not None and fam.covers(var.index)
 
     def range_of(self, var: VarId) -> frozenset | LazyRange:
-        if var.index is None:
-            p = self._plain_by_name.get(var.name)
-            if p is None:
+        return self.slot(var)[0]
+
+    def slot(self, var: VarId) -> tuple:
+        """(range, default) of a declared variable, cached per variable.
+
+        Plain variables and overridden members default to _MUST_ASSIGN. An
+        undeclared variable raises UnknownVariable on every call.
+        """
+        slot = self._slots.get(var)
+        if slot is None:
+            fam = self._family_by_name.get(var.name)
+            if var.index is None and var.name in self._plain_by_name:
+                slot = (self._plain_by_name[var.name].values, _MUST_ASSIGN)
+            elif var.index is not None and fam is not None and fam.covers(var.index):
+                default = _MUST_ASSIGN if var.index in fam.overrides else fam.default
+                slot = (fam.overrides.get(var.index, fam.values), default)
+            else:
                 raise UnknownVariable(var.render())
-            return p.values
-        fam = self._family_by_name.get(var.name)
-        if fam is None or not fam.covers(var.index):
-            raise UnknownVariable(var.render())
-        return fam.member_range(var.index)
+            self._slots[var] = slot
+        return slot
+
+    def rendering(self, value: Value) -> str:
+        """``render_value(value)``, computed once per flat tuple of exact ints and strings."""
+        if type(value) is not tuple or not {int, str}.issuperset(map(type, value)):
+            return render_value(value)  # equal values of other types may render apart
+        text = self._renderings.get(value)
+        if text is None:
+            text = self._renderings[value] = render_value(value)
+        return text
 
     def resolve(self, text: str) -> VarId:
         """Parse a rendered variable name back to a VarId."""
@@ -203,45 +225,36 @@ class Configuration:
     def __init__(self, signature: Signature, normalized: dict):
         self.signature = signature
         self._map = normalized
-        self._key = tuple(
-            (var.name, var.index if var.index is not None else 0, render_value(val), val)
-            for var, val in sorted(normalized.items(), key=lambda kv: kv[0].key)
-        )
+        rendering = signature.rendering
+        # (name, index) is unique per variable, so the sort never compares values
+        self._key = tuple(sorted(
+            (var.name, var.index if var.index is not None else 0, rendering(val), val)
+            for var, val in normalized.items()
+        ))
         self._hash = hash(self._key)
 
     @classmethod
     def make(cls, signature: Signature, assignment: Mapping[VarId, Value]) -> "Configuration":
         normalized = {}
         for var, val in assignment.items():
-            if not signature.is_declared(var):
-                raise UnknownVariable(var.render())
-            if val not in signature.range_of(var):
+            rng, default = signature.slot(var)
+            if val not in rng:
                 raise OutOfRangeValue(f"{var.render()} = {render_value(val)}")
-            fam = signature.family(var.name)
-            if fam is not None and var.index not in fam.overrides and val == fam.default:
+            if val == default:
                 continue
             normalized[var] = val
-        for p in signature.plain:
-            if VarId(p.name) not in normalized:
-                raise MissingDomainValue(f"plain variable {p.name} unassigned")
-        for fam in signature.families:
-            for idx in fam.overrides:
-                if VarId(fam.name, idx) not in normalized:
-                    raise MissingDomainValue(f"{fam.name}_{idx} must be assigned")
+        for var, message in signature._required:
+            if var not in normalized:
+                raise MissingDomainValue(message)
         return cls(signature, normalized)
 
     def get(self, var: VarId) -> Value:
-        try:
-            return self._map[var]
-        except KeyError:
-            pass
-        if not self.signature.is_declared(var):
-            raise UnknownVariable(var.render())
-        if var.index is not None:
-            fam = self.signature.family(var.name)
-            if var.index not in fam.overrides:
-                return fam.default
-        raise MissingDomainValue(var.render())
+        value = self._map.get(var, _MUST_ASSIGN)
+        if value is _MUST_ASSIGN:
+            value = self.signature.slot(var)[1]
+            if value is _MUST_ASSIGN:
+                raise MissingDomainValue(var.render())
+        return value
 
     @property
     def support(self) -> tuple[tuple[VarId, Value], ...]:
@@ -333,20 +346,29 @@ class OverrideEquation(RuleEquation):
 
 @dataclass
 class Model:
+    """Variables and equations. Never mutated: it caches domains and choice sets."""
+
     signature: Signature
     equations: Mapping[str, Union[TableEquation, RuleEquation]]
+    _domains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _choices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def domain_of(self, var: VarId) -> tuple[VarId, ...]:
-        if not self.signature.is_declared(var):
-            raise UnknownVariable(var.render())
+        domain = self._domains.get(var)
+        if domain is not None:
+            return domain
+        self.signature.slot(var)  # raises UnknownVariable for undeclared variables
         eq = self.equations.get(var.name)
         if isinstance(eq, RuleEquation):
-            return eq.domain_of(var.index)
-        if var.index is not None:
+            domain = eq.domain_of(var.index)
+        elif var.index is not None:
             raise ValidationFailed(
                 f"family {var.name} has a table equation; families need rule equations"
             )
-        return self.signature.domains[var.name]
+        else:
+            domain = self.signature.domains[var.name]
+        self._domains[var] = domain
+        return domain
 
     def configuration(self, assignment: Mapping[VarId, Value]) -> Configuration:
         return Configuration.make(self.signature, assignment)
@@ -507,9 +529,9 @@ def eval_equation(model: Model, target: VarId, assignment) -> frozenset:
     at this variable (only rule equations may produce that).
     """
     eq = model.equations.get(target.name)
-    if eq is None or not model.signature.is_declared(target):
+    if eq is None:
         raise UnknownVariable(target.render())
-    domain = model.domain_of(target)
+    domain = model.domain_of(target)  # raises UnknownVariable for undeclared targets
     if isinstance(assignment, Configuration):
         view = {d: assignment.get(d) for d in domain}
     else:
@@ -562,15 +584,18 @@ def successor_choices(
     targets = active_variables(model, config)
     if forced:
         targets = sorted(forced.keys() | set(targets), key=lambda v: v.key)
-    choices = []
+    choices, cache = [], model._choices
     for var in targets:
         if forced and var in forced:
             choices.append((var, (forced[var],)))
             continue
-        vals = eval_equation(model, var, config)
-        if not vals:
-            return None
-        vals = tuple(sorted(vals, key=value_key)) if len(vals) > 1 else tuple(vals)
+        vals = cache.get((config, var))
+        if vals is None:
+            vals = eval_equation(model, var, config)
+            if not vals:
+                return None
+            vals = tuple(sorted(vals, key=value_key)) if len(vals) > 1 else tuple(vals)
+            cache[(config, var)] = vals
         choices.append((var, vals))
     return choices
 
@@ -598,6 +623,7 @@ def memo_successors(model: Model, labeler: Labeler | None = None) -> SuccessorFn
     that passes over the same model many times shares one.
     """
     memo = {}
+    model = Model(model.signature, model.equations)  # its caches live as long as the memo
 
     def children(config: Configuration, forced: Mapping[VarId, Value] | None = None):
         key = (config, frozenset((v, value_key(x)) for v, x in forced.items()) if forced else None)

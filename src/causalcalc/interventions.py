@@ -106,16 +106,12 @@ class StructureInterventionSpec:
 
 
 def _check_atom(model: Model, atom: Atom):
-    if not model.signature.is_declared(atom.var):
-        raise UnknownVariable(atom.var.render())
-    if atom.value not in model.signature.range_of(atom.var):
+    if atom.value not in model.signature.range_of(atom.var):  # raises UnknownVariable
         raise OutOfRangeValue(atom.render())
 
 
 def _check_rewrite(model: Model, atom: RewriteAtom):
-    if not model.signature.is_declared(atom.var):
-        raise UnknownVariable(atom.var.render())
-    if atom.value not in model.signature.range_of(atom.var):
+    if atom.value not in model.signature.range_of(atom.var):  # raises UnknownVariable
         raise OutOfRangeValue(atom.render())
     domain = model.domain_of(atom.var)
     row_vars = [v for v, _ in atom.row]
@@ -129,6 +125,8 @@ def _check_rewrite(model: Model, atom: RewriteAtom):
 
 
 def _override_root(model: Model, root: Configuration, pins: Mapping[VarId, Value]) -> Configuration:
+    if not pins:
+        return root
     assignment = dict(root.support)
     assignment.update(pins)
     return model.configuration(assignment)

@@ -267,6 +267,80 @@ def test_active_variables_window_tracks_support():
     assert idx == [-1, 0, 1, 2, 3, 4, 5]
 
 
+# ---------------------------------------------------------- cache safety
+#
+# Models cache domains and choice sets, signatures cache (range, default)
+# slots and renderings. None of these may hide a failure or leak between
+# models that share a signature.
+
+
+def test_undeclared_variables_fail_on_every_call(counter):
+    cfg = counter.configuration({X: 4})
+    for var in (VarId("Q"), VarId("X", 0)):
+        for _ in range(2):
+            with pytest.raises(UnknownVariable):
+                cfg.get(var)
+            with pytest.raises(UnknownVariable):
+                eval_equation(counter, var, cfg)
+            with pytest.raises(UnknownVariable):
+                counter.domain_of(var)
+            with pytest.raises(UnknownVariable):
+                Configuration.make(counter.signature, {X: 4, var: 1})
+
+
+def test_override_output_outside_the_range_fails_on_every_expansion(counter):
+    hacked = Model(counter.signature, {"X": OverrideEquation(counter, "X", {(None, (3,)): {42}})})
+    root = hacked.configuration({X: 3})
+    for _ in range(2):
+        with pytest.raises(OutOfRangeValue):
+            successors(hacked, root)
+        with pytest.raises(OutOfRangeValue):
+            expand_tree(hacked, root, 2)
+
+
+def test_a_model_sharing_a_signature_sees_its_own_equations(counter):
+    root = counter.configuration({X: 3})
+    before = expand_tree(counter, root, 3)
+    # built like the acceptance tests' corruptions: same signature, new Model
+    hacked = Model(counter.signature, {"X": OverrideEquation(counter, "X", {(None, (3,)): {7}})})
+    assert hacked.signature is counter.signature
+    assert [k.get(X) for k in successors(hacked, root)] == [7]
+    assert [k.get(X) for k in successors(counter, root)] == [0, 4]
+    assert expand_tree(counter, root, 3) == before
+
+    class Constant(RuleEquation):
+        def domain_of(self, index):
+            return ()
+
+        def outputs(self, index, view):
+            return frozenset({5})
+
+    constant = Model(counter.signature, {"X": Constant()})
+    assert counter.domain_of(X) == (X,)
+    assert constant.domain_of(X) == ()
+    assert [k.get(X) for k in successors(constant, root)] == [5]
+
+
+def test_cached_renderings_keep_value_types_apart():
+    sig = Signature(plain=[PlainVar("P", frozenset({(1, "a"), ((1,), "a")}))])
+    # each value is made first, so its rendering is cached before the lookalike
+    pairs = [((1, "a"), (True, "a")), (((1,), "a"), ((True,), "a"))]
+    for _ in range(2):
+        for value, lookalike in pairs:
+            made = [Configuration.make(sig, {VarId("P"): v}) for v in (value, lookalike)]
+            assert [c.sort_key[0][2] for c in made] == [render_value(value), render_value(lookalike)]
+            assert made[0] != made[1]
+
+
+def test_var_id_api():
+    assert VarId("X").render() == "X" and VarId("X", -2).render() == "X_-2"
+    assert VarId("X").key == ("X", 0) and VarId("X", 3).key == ("X", 3)
+    assert VarId("F", 1) == VarId("F", 1) and hash(VarId("F", 1)) == hash(VarId("F", 1))
+    assert VarId("X") != VarId("X", 0)
+    assert (VarId("X", 1).name, VarId("X", 1).index) == ("X", 1)
+    assert len({VarId("X"), VarId("X", 0), VarId("X", None)}) == 2
+
+
 def test_render_value_is_injective_on_typical_values():
     values = [0, 1, -3, "a", "q0", ("q", "#", 1), ("q", ("a", 0)), ()]
     rendered = [render_value(v) for v in values]

@@ -3,7 +3,9 @@
 Random JSON, and valid model files with one field swapped for random JSON,
 must either load or fail with a package error; through the CLI they must end
 in a documented exit code, never a traceback. So must random command lines
-built from the CLI's own parser over the shared fixture files.
+built from the CLI's own parser over the shared fixture files. Random
+``bisim`` lines over a machine and its own compiled model must succeed, so
+the equivalence walk and the acceptance matrix run on random arguments.
 """
 
 import argparse
@@ -14,7 +16,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalcalc import compile_lba, compile_lba_monolithic, compile_ntm, compile_tm
+from causalcalc import compile_lba, compile_lba_monolithic, compile_machine, compile_ntm, compile_tm
 from causalcalc.cli import _build_parser, main
 from causalcalc.errors import CausalCalcError
 from causalcalc.formats import dumps_canonical, machine_to_json, model_from_json, model_to_json
@@ -262,3 +264,69 @@ def test_cli_on_random_argv_ends_in_an_exit_code(cli_files, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
+
+
+# ------------------------------------------------------ matched bisim pairs
+
+# Each fixture machine with the compile options of its model file. LBA models
+# fix a tape length, and inputs are drawn no longer than it.
+BISIM_PAIRS = [
+    ("parity", {"tape_len": 2}),
+    ("parity", {"tape_len": 3, "monolithic": True}),
+    ("abc", {"tape_len": 3}),
+    ("abc", {"tape_len": 3, "monolithic": True}),
+    ("sweep", {"tape_len": 2}),
+    ("walkback", {"tape_len": 3}),
+    ("walkback", {"tape_len": 2, "monolithic": True}),
+    ("alternation", {}),
+    ("guess", {}),
+]
+
+
+@pytest.fixture(scope="module")
+def bisim_files(tmp_path_factory):
+    """(machine path, model path, input alphabet, tape length) per pair."""
+    base = tmp_path_factory.mktemp("bisim")
+    files = []
+    for n, (name, options) in enumerate(BISIM_PAIRS):
+        spec = MACHINES[name]
+        machine, model = base / f"{n}_{name}.json", base / f"{n}_{name}_model.json"
+        machine.write_text(dumps_canonical(machine_to_json(spec)))
+        model.write_text(dumps_canonical(model_to_json(compile_machine(spec, **options))))
+        files.append((str(machine), str(model), spec.input_alphabet, options.get("tape_len", 4)))
+    return files
+
+
+@st.composite
+def bisim_argvs(draw, files):
+    """``bisim --input`` with a depth, or ``--inputs`` with a budget, on a matched pair."""
+    machine, model, alphabet, longest = draw(st.sampled_from(files))
+    words = st.lists(st.sampled_from(alphabet), max_size=longest).map("".join)
+    argv = ["bisim", machine, model]
+    if draw(st.booleans()):
+        argv += ["--input", draw(words), "--depth", str(draw(st.integers(0, 8)))]
+    else:
+        inputs = draw(st.lists(words, min_size=1, max_size=4))
+        argv += ["--inputs", ",".join(inputs), "--budget", str(draw(st.integers(0, 30)))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(0, 5)))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bisim_on_a_machine_and_its_own_model_succeeds(bisim_files, data):
+    argv = data.draw(bisim_argvs(bisim_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, (argv, err.getvalue())
+    if "--input" in argv:
+        assert json.loads(out.getvalue())["equivalent"], argv
+        return
+    *rows, last = out.getvalue().splitlines()
+    assert last.startswith("all_agree\t")
+    for row in rows:
+        _, machine_verdict, calc_verdict, _ = row.split("\t")
+        # window models can still miss a rejection (see ROADMAP), never an acceptance
+        assert (machine_verdict == "ACCEPT") == (calc_verdict == "ACCEPT"), (argv, row)

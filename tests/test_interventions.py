@@ -1,3 +1,7 @@
+import collections
+import contextlib
+import io
+
 import pytest
 
 from causalcalc import (
@@ -19,6 +23,9 @@ from causalcalc import (
     is_cause,
     sweep,
 )
+from causalcalc import core
+from causalcalc.cli import main
+from causalcalc.compilers import TmCellRule, TmStateRule, compile_tm
 from causalcalc.errors import (
     DuplicateAtom,
     OutOfRangeValue,
@@ -26,6 +33,7 @@ from causalcalc.errors import (
     StepBeyondDepth,
     UnknownVariable,
 )
+from causalcalc.formats import dumps_canonical, model_to_json
 
 X = VarId("X")
 
@@ -373,3 +381,42 @@ def test_holds_at_all_mode_drives_sweep_baselines(counter):
     by_render = {r.atoms[0].render(): r.classification for r in report.rows}
     assert by_render["X@0=9"] == "inert"
     assert by_render["X@0=0"] == "critical"
+
+
+# ---------------------------------------------------------- work counts
+
+
+def test_tm_two_fault_sweep_computes_each_domain_and_choice_set_once(
+    tmp_path, monkeypatch, tm_spec
+):
+    """The benchmark's two-fault sweep on the compiled alternation TM.
+
+    Domains are computed once per (model, index) and successor choice sets
+    once per distinct (configuration, forced values) pair.
+    """
+    path = tmp_path / "tm.json"
+    path.write_text(dumps_canonical(model_to_json(compile_tm(tm_spec))))
+    domains = collections.Counter()
+    for rule in (TmCellRule, TmStateRule):
+        def spy_domain(self, index, original=rule.domain_of):
+            domains[(id(self), index)] += 1
+            return original(self, index)
+
+        monkeypatch.setattr(rule, "domain_of", spy_domain)
+    choices = collections.Counter()
+    original_choices = core.successor_choices
+
+    def spy_choices(model, config, forced=None):
+        choices[(config, frozenset(forced.items()) if forced else None)] += 1
+        return original_choices(model, config, forced)
+
+    monkeypatch.setattr(core, "successor_choices", spy_choices)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep", str(path), "--input", "0101", "--vars", "X_0..X_5", "--steps",
+                     "0..1", "--outcome", "S@5=acc", "--k", "2"])
+    assert code == 0
+    rows = [line for line in out.getvalue().splitlines() if "@" in line]
+    assert len(rows) == 594
+    assert domains and max(domains.values()) == 1
+    assert choices and max(choices.values()) == 1
