@@ -14,7 +14,7 @@ The windowed encodings keep the frame centered on the *previous* head
 position: the triple at ``X_0`` records the transition just taken, its move
 component says where the head now is relative to the frame, and every step
 shifts the frame by the parent's recorded move. Decoding therefore needs the
-path's move labels.
+frame: where it sits on the tape and the move into the node.
 """
 
 from __future__ import annotations
@@ -100,16 +100,6 @@ class _MachineRule(RuleEquation):
 
     def __init__(self, spec: MachineSpec):
         self.spec = spec
-        self._det = all(len(ts) == 1 for ts in spec.delta.values()) and all(
-            (q, g) in spec.delta
-            for q in spec.states
-            if q not in spec.finals
-            for g in spec.tape_alphabet
-        )
-
-    @property
-    def deterministic(self) -> bool:
-        return self._det
 
     def _identity(self) -> tuple:
         return (type(self), self.spec.fingerprint())
@@ -412,53 +402,42 @@ def encode_tm_config(calc: CalculatorModel, m: TapeConfig) -> Configuration:
     return calc.model.configuration(assign)
 
 
-def decode_config(calc: CalculatorModel, config: Configuration, labels: tuple = ()):
+def decode_config(calc: CalculatorModel, config: Configuration, offset: int = 0, last_move=None):
     """Recover the machine configuration a calculator node denotes.
 
-    ``labels`` are the move labels along the path from the root; the windowed
-    encodings need them to locate the frame. Raises UndecodableConfig when the
-    node cannot be a reachable run configuration under those labels.
+    The windowed encodings need the frame: ``offset`` places the window lba's
+    frame on the tape (it is the parent configuration's head), and
+    ``last_move`` is the move into the node, None at the root. Raises
+    UndecodableConfig when the node cannot be a run configuration there.
     """
     spec = calc.machine
     if calc.kind == "tm":
-        state = config.get(STATE_ID)
-        cells = {
-            var.index: val
-            for var, val in config.support
-            if var.name == CELL and val != spec.blank
-        }
-        return TapeConfig(state, tuple(sorted(cells.items())))
+        cells = {v.index: val for v, val in config.support if v.name == CELL and val != spec.blank}
+        return TapeConfig(config.get(STATE_ID), tuple(sorted(cells.items())))
 
     if calc.kind == "lba_mono":
         value = config.get(WHOLE_ID)
         return LbaConfig(value[0], value[1], tuple(value[2:]))
 
-    triple = config.get(HEAD_ID)
-    state, written, move = triple
-    if labels and labels[-1] != move:
+    state, written, move = config.get(HEAD_ID)
+    if last_move is not None and last_move != move:
         raise UndecodableConfig(
-            f"head triple move {move} disagrees with last path label {labels[-1]}"
+            f"head triple move {move} disagrees with last path label {last_move}"
         )
     if calc.kind == "lba":
-        offset = sum(labels[:-1])
-        head = sum(labels)
+        head = offset + (last_move or 0)
         w = calc.tape_len + 1
         if not (0 <= offset <= w and 0 <= head <= w):
             raise UndecodableConfig(f"labels place the frame at {offset}, head at {head}")
-        tape = []
-        for k in range(w + 1):
-            i = k - offset
-            tape.append(written if i == 0 else config.get(VarId(CELL, i)))
-        return LbaConfig(state, head, tuple(tape))
+        frame = range(-offset, w + 1 - offset)
+        tape = tuple(written if i == 0 else config.get(VarId(CELL, i)) for i in frame)
+        return LbaConfig(state, head, tape)
 
     # ntm: the frame lags the head by exactly the last move
-    shift = labels[-1] if labels else 0
-    cells = {-shift: written}
-    for var, val in config.support:
-        if var.name == CELL and var.index != 0:
-            cells[var.index - shift] = val
-    kept = tuple(sorted((k, g) for k, g in cells.items() if g != spec.blank))
-    return TapeConfig(state, kept)
+    shift = last_move or 0
+    cells = {v.index - shift: val for v, val in config.support if v.name == CELL and v.index != 0}
+    cells[-shift] = written
+    return TapeConfig(state, tuple(sorted((k, g) for k, g in cells.items() if g != spec.blank)))
 
 
 def edge_label(calc: CalculatorModel, parent: Configuration, child: Configuration) -> int:

@@ -287,10 +287,6 @@ class TableEquation:
     def __eq__(self, other):
         return isinstance(other, TableEquation) and self.rows == other.rows
 
-    @property
-    def deterministic(self) -> bool:
-        return all(len(out) == 1 for out in self.rows.values())
-
 
 class RuleEquation:
     """A computed equation; used for compiled models and row surgery.
@@ -298,8 +294,6 @@ class RuleEquation:
     Subclasses provide the domain per member index (None for plain targets)
     and the output set for a restriction of the previous configuration.
     """
-
-    deterministic = False
 
     def domain_of(self, index: int | None) -> tuple[VarId, ...]:
         raise NotImplementedError
@@ -321,12 +315,6 @@ class OverrideEquation(RuleEquation):
         self._name = name
         self.base = model.equations[name]
         self.overrides = {k: frozenset(v) for k, v in overrides.items()}
-
-    @property
-    def deterministic(self) -> bool:
-        return self.base.deterministic and all(
-            len(v) == 1 for v in self.overrides.values()
-        )
 
     def domain_of(self, index):
         if isinstance(self.base, RuleEquation):
@@ -372,10 +360,6 @@ class Model:
 
     def configuration(self, assignment: Mapping[VarId, Value]) -> Configuration:
         return Configuration.make(self.signature, assignment)
-
-    @property
-    def deterministic(self) -> bool:
-        return all(eq.deterministic for eq in self.equations.values())
 
 
 @dataclass(frozen=True)

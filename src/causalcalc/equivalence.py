@@ -1,26 +1,26 @@
 """Bounded-depth equivalence between a machine and its compiled calculator.
 
-One lockstep walk serves every calculator kind. It expands the machine's run
-tree and the calculator's computation tree level by level, matching the
-children of each node pair by (move label, decoded machine configuration);
-since both sides are deduplicated the match must be a bijection at every
-node. A deterministic TM run is that walk with one child per node. The walk
-stops at the first mismatch and reports it at the label path of the pair
-whose children disagree. A fraction of visited calculator nodes is
-re-expanded through the independent reference interpreter as a cross-check
-on the successor computation itself. Every calculator expansion, the walk's
-and the cross-check's, goes through one ``core.memo_successors`` per check,
-the route every other query uses.
+One walk serves every calculator kind: ``core.reach_layers`` over pair states
+(machine configuration, calculator configuration). A pair's children are the
+calculator's children matched to the machine's by (move label, decoded machine
+configuration), which must be a bijection. The machine configuration fixes the
+calculator's frame, so each distinct pair is stepped, expanded and decoded
+once, while the per-level counts are still the node counts of the lockstep
+tree. The walk stops on the first level where a check fails and reports the
+BFS-first node that fails, at its label path. A sample of the tree's nodes is
+re-expanded through the independent reference interpreter. Every calculator
+expansion goes through one ``core.memo_successors`` per check.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
-from .core import DEFAULT_NODE_CAP, SuccessorFn, memo_successors
+from .core import DEFAULT_NODE_CAP, Layers, SuccessorFn, memo_successors, reach_layers
 from .compilers import CalculatorModel, calc_accepts, calc_labeler, decode_config, initial_calc_config
-from .errors import KindMismatch, UndecodableConfig
+from .errors import BudgetExceeded, CausalCalcError, KindMismatch, UndecodableConfig
 from .machines import MachineSpec, initial_machine_config, machine_step, require_valid, run_machine
 from . import reference
 
@@ -53,6 +53,12 @@ class EquivReport:
     counterexample: Counterexample | None = None
 
 
+@dataclass
+class _Failed:  # why a pair fails, at a path relative to the node that holds it
+    error: Counterexample | CausalCalcError
+    width: int | None = None  # children held against the node cap; None fails before the cap
+
+
 def _compat(spec: MachineSpec, calc: CalculatorModel):
     require_valid(spec)
     if calc.machine.kind != spec.kind:
@@ -61,20 +67,41 @@ def _compat(spec: MachineSpec, calc: CalculatorModel):
         raise KindMismatch("calculator was compiled from a different machine")
 
 
-def _recheck(calc: CalculatorModel, succ: SuccessorFn, visited: list, fraction: float, seed: int):
-    """Compare main-route (``succ``) and reference-route successors on a random sample."""
-    rng = random.Random(seed)
-    k = max(1, int(len(visited) * fraction))
-    sample = rng.sample(visited, min(k, len(visited)))
-    for cfg in sample:
+def _tree_levels(layers: Layers):
+    """Each step's tree nodes in BFS order, as (pair, label path) lists."""
+    level = [(next(iter(layers.counts[0])), ())]
+    for kids in layers.kids:
+        yield level
+        level = [(kid, path + (d,)) for pair, path in level for kid, d in kids[pair]]
+    yield level
+
+
+def _recheck(calc: CalculatorModel, succ: SuccessorFn, layers: Layers, fraction: float, seed: int):
+    """Main-route (``succ``) and reference-route successors on a sample of tree nodes."""
+    nodes = [pair[1] for level in _tree_levels(layers) for pair, _ in level]
+    k = min(max(1, int(len(nodes) * fraction)), len(nodes))
+    sample = random.Random(seed).sample(range(len(nodes)), k)
+    for cfg in dict.fromkeys(nodes[i] for i in sample):  # each distinct configuration once
         if frozenset(c for c, _ in succ(cfg)) != reference.successor_set(calc, cfg):
-            return len(sample), Counterexample(
-                "reference_disagreement",
-                (),
-                "two successor routes differ on a visited configuration",
-                calc_config=cfg,
-            )
-    return len(sample), None
+            detail = "two successor routes differ on a visited configuration"
+            return k, Counterexample("reference_disagreement", (), detail, calc_config=cfg)
+    return k, None
+
+
+def _first_failure(memo: dict, layers: Layers, last: int, visited: int, node_cap: int):
+    """The first node at step ``last`` to fail, in BFS order, as the lockstep walk checked
+    each: decoding, the node cap (``visited`` nodes are through that step), the match."""
+    for pair, path in next(islice(_tree_levels(layers), last, None)):
+        kids = memo[pair]
+        width = len(kids) if type(kids) is tuple else kids.width
+        if width is not None and visited + width > node_cap:
+            return Counterexample("node_cap", path, f"walk exceeds {node_cap} nodes")
+        if type(kids) is not tuple:
+            e = kids.error
+            if isinstance(e, CausalCalcError):
+                raise e
+            return Counterexample(e.kind, path + e.path, e.detail, e.machine_config, e.calc_config)
+        visited += width
 
 
 def check_equivalence(
@@ -89,60 +116,66 @@ def check_equivalence(
 ) -> EquivReport:
     """Walk machine and calculator in lockstep for ``depth`` steps."""
     _compat(spec, calc)
-    report = EquivReport(True, calc.kind, input_str, depth)
+    report = EquivReport(False, calc.kind, input_str, depth)
     mroot = initial_machine_config(spec, input_str, calc.tape_len)
     croot = initial_calc_config(calc, input_str)
-    visited = [croot]
-    succ = memo_successors(calc.model, calc_labeler(calc))
-
-    def fail(kind, path, detail, m=None, c=None):
-        report.equivalent = False
-        report.counterexample = Counterexample(kind, tuple(path), detail, m, c)
+    if decode_config(calc, croot) != mroot:
+        detail = "root decodes wrong"
+        report.counterexample = Counterexample("translation_mismatch", (), detail, mroot, croot)
         return report
+    succ = memo_successors(calc.model, calc_labeler(calc))
+    moves, memo, failed, window = {}, {}, None, calc.kind == "lba"
 
-    if decode_config(calc, croot, ()) != mroot:
-        return fail("translation_mismatch", (), "root decodes wrong", mroot, croot)
-
-    pairs = [(mroot, croot, ())]
-    report.machine_nodes.append(1)
-    report.calc_nodes.append(1)
-    for _ in range(depth):
-        nxt = []
-        for m, c, labels in pairs:
-            mkeys = {(d, child) for child, _, d in machine_step(spec, m)}
+    def match(m, c):
+        """The pair's matched children in (move, machine configuration) order, or
+        why they fail; an error is raised once the scan reaches the pair's node."""
+        try:
+            mkeys = moves.get(m)
+            if mkeys is None:
+                mkeys = moves[m] = {(d, child) for child, _, d in machine_step(spec, m)}
+            offset = m.head if window else 0
             ckeys = {}
             for child, d in succ(c):
                 try:
-                    decoded = decode_config(calc, child, labels + (d,))
+                    ckeys[(d, decode_config(calc, child, offset, d))] = child
                 except UndecodableConfig as exc:
-                    return fail("undecodable", labels + (d,), str(exc), m, child)
-                ckeys[(d, decoded)] = child
-            if len(visited) + len(ckeys) > node_cap:
-                return fail("node_cap", labels, f"walk exceeds {node_cap} nodes")
-            if mkeys != set(ckeys):
-                missing = sorted(str(k) for k in mkeys - set(ckeys))
-                extra = sorted(str(k) for k in set(ckeys) - mkeys)
-                return fail(
-                    "successor_mismatch",
-                    labels,
-                    f"machine-only children {missing}; calculator-only {extra}",
-                    m,
-                    c,
-                )
-            for (d, mchild), cchild in sorted(
-                ckeys.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-            ):
-                visited.append(cchild)
-                nxt.append((mchild, cchild, labels + (d,)))
-        pairs = nxt
-        report.machine_nodes.append(len(pairs))
-        report.calc_nodes.append(len(pairs))
-        if not pairs:
-            break
-    report.rechecked, bad = _recheck(calc, succ, visited, recheck_fraction, seed)
-    if bad is not None:
-        report.equivalent = False
-        report.counterexample = bad
+                    return _Failed(Counterexample("undecodable", (d,), str(exc), m, child))
+        except CausalCalcError as exc:
+            return _Failed(exc)
+        if mkeys != ckeys.keys():
+            missing = sorted(str(k) for k in mkeys - set(ckeys))
+            extra = sorted(str(k) for k in set(ckeys) - mkeys)
+            detail = f"machine-only children {missing}; calculator-only {extra}"
+            return _Failed(Counterexample("successor_mismatch", (), detail, m, c), len(ckeys))
+        matched = ckeys.items()
+        if len(ckeys) > 1:
+            matched = sorted(matched, key=lambda kv: (kv[0][0], str(kv[0][1])))
+        return tuple([((mchild, cchild), d) for (d, mchild), cchild in matched])
+
+    def step(pair, _forced):
+        nonlocal failed
+        kids = memo.get(pair) if failed is None else ()  # the walk ends on the level that failed
+        if kids is None:
+            kids = memo[pair] = match(*pair)
+        if type(kids) is not tuple:
+            failed, kids = pair, ()
+        return kids
+
+    try:
+        walk, last = reach_layers(step, (mroot, croot), depth, node_cap=node_cap), None
+    except BudgetExceeded as exc:
+        walk, last = exc.partial, len(exc.partial.kids) - 1
+    if failed is not None:
+        last = next(s for s, counts in enumerate(walk.counts) if failed in counts)
+    died = len(walk.kids) == len(walk.counts)  # the last level came out empty
+    nodes = [sum(counts.values()) for counts in walk.counts] + [0] * died
+    if last is None:
+        report.rechecked, report.counterexample = _recheck(calc, succ, walk, recheck_fraction, seed)
+    else:
+        del nodes[last + 1 :]
+        report.counterexample = _first_failure(memo, walk, last, sum(nodes), node_cap)
+    report.machine_nodes, report.calc_nodes = nodes, list(nodes)
+    report.equivalent = report.counterexample is None
     return report
 
 

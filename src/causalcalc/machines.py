@@ -75,6 +75,10 @@ class MachineSpec:
         }
 
     def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         body = repr(
             (
                 self.kind,

@@ -106,14 +106,14 @@ def test_decode_needs_the_move_labels(parity_spec):
     (step1,) = successors(calc.model, root)
     (step2,) = successors(calc.model, step1)
     assert decode_config(calc, root) == initial_machine_config(parity_spec, "1", 2)
-    assert decode_config(calc, step2, labels=(1, 1)) == LbaConfig(
+    assert decode_config(calc, step2, offset=1, last_move=1) == LbaConfig(
         "odd", 2, (">", "1", "#", "<")
     )
     with pytest.raises(UndecodableConfig):
-        decode_config(calc, step2, labels=(1, 0))  # last label must match the triple
+        decode_config(calc, step2, offset=1, last_move=0)  # the move must match the triple
     bad = calc.model.configuration({X(0): ("even", ">", -1)})
     with pytest.raises(UndecodableConfig):
-        decode_config(calc, bad, labels=(-1,))  # head would sit left of the tape
+        decode_config(calc, bad, last_move=-1)  # head would sit left of the tape
 
 
 def test_walkback_decode_after_a_left_move():
@@ -123,7 +123,7 @@ def test_walkback_decode_after_a_left_move():
     leaf = next(n for n in range(tree.node_count) if tree.depth_of[n] == 3)
     labels = tree.label_path(leaf)
     assert labels == (1, 1, -1)
-    decoded = decode_config(calc, tree.nodes[leaf], labels=labels)
+    decoded = decode_config(calc, tree.nodes[leaf], sum(labels[:-1]), labels[-1])
     assert decoded == LbaConfig("x", 1, (">", "a", "b", "<"))
     mtree = machine_tree(spec, "aa", 3, tape_len=2)
     depth3 = [mtree.nodes[n] for n in range(mtree.node_count) if mtree.depth_of[n] == 3]
@@ -146,7 +146,7 @@ def test_ntm_decode_shifts_by_the_last_label(ntm_spec):
     mtree = machine_tree(ntm_spec, "01", 2)
     for nid in range(tree.node_count):
         labels = tree.label_path(nid)
-        decoded = decode_config(calc, tree.nodes[nid], labels=labels)
+        decoded = decode_config(calc, tree.nodes[nid], last_move=labels[-1] if labels else None)
         level = [
             mtree.nodes[m] for m in range(mtree.node_count)
             if mtree.depth_of[m] == tree.depth_of[nid]
@@ -249,10 +249,3 @@ def test_dispatch_checks_kinds(tm_spec, ntm_spec, parity_spec):
     assert compile_machine(parity_spec, tape_len=2, monolithic=True).kind == "lba_mono"
     assert compile_machine(tm_spec).kind == "tm"
     assert compile_machine(ntm_spec).kind == "ntm"
-
-
-def test_determinism_is_visible_on_the_model(tm_spec, parity_spec, sweep_spec):
-    assert compile_tm(tm_spec).model.deterministic
-    # parity's delta is single-valued but partial, so branching cannot be ruled out
-    assert not compile_lba(parity_spec, 2).model.deterministic
-    assert not compile_lba(sweep_spec, 2).model.deterministic

@@ -23,9 +23,11 @@ from causalcalc import (
     machine_tree,
     run_machine,
 )
-from causalcalc import core, reference
-from causalcalc.errors import KindMismatch
-from conftest import sweep_lba, walk_lba
+from causalcalc import compilers, core, equivalence, machines, reference
+from causalcalc.errors import CausalCalcError, KindMismatch
+from conftest import alternation_tm, parity_lba, sweep_lba, walk_lba
+import oracle_walk
+from oracle_walk import lockstep_walk
 from test_closure import random_spec
 
 
@@ -259,3 +261,162 @@ def test_walks_on_random_machines_count_the_calculator_tree():
                 assert report.rechecked == sum(report.calc_nodes)
                 cases += 1
     assert cases == 448
+
+
+def _repeated_first(calc, word, depth):
+    """Configurations held by several tree nodes of the first level that holds them."""
+    layers = core.reach_layers(core.memo_successors(calc.model), calc.initial(word), depth)
+    seen, out = set(), []
+    for counts in layers.counts:
+        out += [config for config, n in counts.items() if n > 1 and config not in seen]
+        seen.update(counts)
+    return out
+
+
+def _row_mutant(rng, calc, word, cfg=None):
+    """The calculator with one equation row forced elsewhere: ``cfg``'s row, or one
+    its depth-4 tree uses."""
+    model, spec = calc.model, calc.machine
+    cfg = cfg or rng.choice(expand_tree(model, calc.initial(word), 4).nodes)
+    if calc.kind == "lba_mono":
+        var = VarId("V")
+        whole = cfg.get(var)
+        pool = [(q, h, *whole[2:]) for q in spec.states for h in range(calc.tape_len + 2)]
+    elif calc.kind == "tm":
+        var = rng.choice((VarId("S"), VarId("X", rng.choice((-1, 0, 1)))))
+        pool = spec.states if var.name == "S" else spec.tape_alphabet
+    else:
+        var = VarId("X", 0)
+        pool = sorted(model.signature.range_of(var))
+    eq = model.equations[var.name]
+    domain = model.domain_of(var)
+    row = tuple(cfg.get(v) for v in domain)
+    old = eq.outputs(var.index, dict(zip(domain, row)))
+    new = {rng.choice([v for v in pool if v not in old])}
+    if rng.random() < 0.3:
+        new |= old  # an extra branch
+    if rng.random() < 0.1:
+        new = {"?"}  # outside the range: expanding the row raises
+    mutant = OverrideEquation(model, var.name, {(var.index, row): new})
+    hacked = Model(model.signature, dict(model.equations, **{var.name: mutant}))
+    return dataclasses.replace(calc, model=hacked)
+
+
+def _walk_cases(rng):
+    """(spec, calculator, word): random lbas both ways, random ntms, the alternation tm
+    and the reconverging walk, each pristine and with row mutants."""
+    parity = parity_lba()
+    yield parity, corrupted(compile_lba(parity, 2), ROOT_ROW, {("even", ">", -1)}), "1"
+    for kind in ("lba",) * 4 + ("ntm",) * 4 + ("tm", "walk") * 2:
+        if kind == "walk":
+            spec, word = walk_lba(), rng.choice(("ab", "ba", "a"))
+            calcs = [compile_lba(spec, 3), compile_lba_monolithic(spec, 3)]
+        elif kind == "tm":
+            spec = alternation_tm()
+            word = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
+            calcs = [compile_tm(spec)]
+        else:
+            spec = random_spec(rng, kind)
+            word = "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+            if kind == "lba":
+                tape_len = max(len(word), 1) + rng.randint(0, 1)
+                calcs = [compile_lba(spec, tape_len), compile_lba_monolithic(spec, tape_len)]
+            else:
+                calcs = [compile_ntm(spec)]
+        for calc in calcs:
+            yield spec, calc, word
+            for _ in range(3):
+                yield spec, _row_mutant(rng, calc, word), word
+            if kind == "walk":  # its failing pairs sit at several nodes of their level
+                for cfg in rng.sample(_repeated_first(calc, word, 8), 3):
+                    yield spec, _row_mutant(rng, calc, word, cfg), word
+
+
+def _outcome(walk, *args, **options):
+    """(the walk's report or the error it raised, the kind of that outcome)."""
+    try:
+        report = walk(*args, **options)
+    except CausalCalcError as exc:
+        return (type(exc), str(exc)), type(exc).__name__
+    return report, report.counterexample and report.counterexample.kind
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pair_walk_reports_what_the_lockstep_walk_reports(seed):
+    rng = random.Random(seed)
+    kinds = collections.Counter()
+    for spec, calc, word in _walk_cases(rng):
+        for depth in range(9):
+            options = {"recheck_fraction": rng.choice((0.1, 0.3, 1.0)), "seed": rng.randint(0, 99)}
+            want, kind = _outcome(lockstep_walk, spec, calc, word, depth, **options)
+            assert _outcome(check_equivalence, spec, calc, word, depth, **options)[0] == want
+            kinds[kind] += 1
+            size = sum(getattr(want, "calc_nodes", [9]))
+            caps = [rng.randint(1, size + 1)] if depth % 2 else []
+            if depth == 5:
+                caps = range(1, size + 2) if size < 30 else rng.sample(range(1, size + 2), 30)
+            for cap in caps:
+                want, kind = _outcome(lockstep_walk, spec, calc, word, depth, node_cap=cap, **options)
+                got, _ = _outcome(check_equivalence, spec, calc, word, depth, node_cap=cap, **options)
+                assert got == want, (spec, calc.kind, word, depth, cap)
+                kinds[kind] += 1
+    wanted = (None, "node_cap", "successor_mismatch", "undecodable", "reference_disagreement")
+    for kind in wanted + ("OutOfRangeValue",):
+        assert kinds[kind], (kind, kinds)
+
+
+def test_walk_work_is_counted_per_distinct_pair(monkeypatch):
+    """Each distinct (machine, calculator) pair is stepped, expanded and decoded once."""
+    # the lockstep walk decodes every tree edge; its spies note each one's parent pair
+    edges, parent, checked = set(), {}, collections.Counter()
+    decoded, stepped = collections.Counter(), collections.Counter()
+    successor_set = reference.successor_set
+
+    def oracle_step(spec, m):
+        parent["m"] = m
+        return machines.machine_step(spec, m)
+
+    def oracle_expander(model, labeler):
+        succ = core.memo_successors(model, labeler)
+
+        def children(c, forced=None):
+            parent["c"] = c
+            return succ(c, forced)
+        return children
+
+    def oracle_decode(calc, child, offset=0, last_move=None):
+        edges.add((parent["m"], parent["c"], child))
+        return compilers.decode_config(calc, child, offset, last_move)
+
+    def step(spec, m):
+        stepped[m] += 1
+        return machines.machine_step(spec, m)
+
+    def decode(calc, child, offset=0, last_move=None):
+        decoded[(child, offset, last_move)] += 1
+        return compilers.decode_config(calc, child, offset, last_move)
+
+    def recheck(calc, cfg):
+        checked[cfg] += 1
+        return successor_set(calc, cfg)
+
+    monkeypatch.setattr(oracle_walk, "machine_step", oracle_step)
+    monkeypatch.setattr(oracle_walk, "memo_successors", oracle_expander)
+    monkeypatch.setattr(oracle_walk, "decode_config", oracle_decode)
+    monkeypatch.setattr(equivalence, "machine_step", step)
+    monkeypatch.setattr(equivalence, "decode_config", decode)
+    monkeypatch.setattr(reference, "successor_set", recheck)
+    spec = walk_lba()
+    for calc in (compile_lba(spec, 4), compile_lba_monolithic(spec, 4)):
+        for spy in (edges, parent, checked, decoded, stepped):
+            spy.clear()
+        parent.update(m=None, c=None)  # the root's decode
+        want = lockstep_walk(spec, calc, "ab", 10)
+        sampled = dict(checked)
+        assert max(sampled.values()) > 1  # the sample holds repeats
+        checked.clear()
+        assert check_equivalence(spec, calc, "ab", 10) == want
+        assert sum(decoded.values()) <= len(edges) < 441, calc.kind
+        assert set(stepped) == {m for m, _, _ in edges if m is not None}
+        assert max(stepped.values()) == 1
+        assert checked.keys() == sampled.keys() and max(checked.values()) == 1
