@@ -637,30 +637,37 @@ class ComputationTree:
     Nodes are model configurations or machine configurations. They get BFS
     ids; the children of each node come in canonical order, so equal
     expansions produce identical trees. Branches can end early when a
-    configuration has no successors. Every tree is written by :func:`unfold`.
+    configuration has no successors. Every tree is made by :func:`unfold`
+    and holds the ``layers`` it unfolds: it is their tree's first
+    ``node_count`` nodes in BFS order, so a node cap can cut it inside a
+    level. ``formats.dumps_tree`` writes its text from the layers, a level at
+    a time; the per-node lists (``nodes``, ``parent``, ``depth_of``,
+    ``children``, ``labels``) are built from them when one is first read.
     """
 
-    def __init__(self, depth: int, root):
-        self.depth = depth
-        self.nodes: list = [root]
-        self.parent: list[int | None] = [None]
-        self.depth_of: list[int] = [0]
-        self.children: list[list[int]] = [[]]
-        self.labels: list[object] = [None]  # label of the edge into each node
+    def __init__(self, layers: "Layers", node_cap: int = DEFAULT_NODE_CAP):
+        self.layers = layers
+        self.depth = layers.depth
+        self.node_count = max(1, min(layers.total, node_cap))
 
-    def add_child(self, parent_id: int, config, label=None) -> int:
-        cid = len(self.nodes)
-        self.nodes.append(config)
-        self.parent.append(parent_id)
-        self.depth_of.append(self.depth_of[parent_id] + 1)
-        self.children.append([])
-        self.labels.append(label)
-        self.children[parent_id].append(cid)
-        return cid
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
+    def __getattr__(self, name):
+        if name not in ("nodes", "parent", "depth_of", "children", "labels"):
+            raise AttributeError(name)
+        kids, n, nodes = self.layers.kids, self.node_count, list(self.layers.counts[0])
+        parent, depth_of, children, labels = [None], [0], [], [None]
+        while len(nodes) < n:  # nodes are appended in BFS order
+            pid = len(children)
+            row = kids[depth_of[pid]][nodes[pid]][: n - len(nodes)]
+            children.append(list(range(len(nodes), len(nodes) + len(row))))
+            nodes += [child for child, _ in row]
+            labels += [label for _, label in row]
+            parent += [pid] * len(row)
+            depth_of += [depth_of[pid] + 1] * len(row)
+        children += [[] for _ in range(n - len(children))]
+        self.__dict__.update(
+            nodes=nodes, parent=parent, depth_of=depth_of, children=children, labels=labels
+        )
+        return self.__dict__[name]
 
     def nodes_at(self, step: int) -> list[int]:
         return [i for i, d in enumerate(self.depth_of) if d == step]
@@ -768,13 +775,14 @@ class Layers:
     ``c`` at step s in canonical order. Every tree node that holds ``c`` at
     step s has those children, because forced values depend only on (step,
     parent). Like the tree, the layers stop early when a step comes out
-    empty.
+    empty. ``total`` is the number of nodes in the tree.
     """
 
     def __init__(self, depth: int, root: Configuration):
         self.depth = depth
         self.counts: list[dict[Configuration, int]] = [{root: 1}]
         self.kids: list[dict[Configuration, tuple]] = []
+        self.total = 1
 
     def _wanted(self, timed: Sequence[TimedAssignment]):
         for var, step, _ in timed:
@@ -899,6 +907,7 @@ def reach_layers(
         if not following:
             break
         layers.counts.append(following)
+        layers.total = total
         if total > node_cap:
             raise BudgetExceeded(
                 f"node budget {node_cap} exhausted at step {step}", partial=layers
@@ -922,20 +931,6 @@ def unfold(
     try:
         layers = reach_layers(succ, root, depth, node_cap=node_cap, forced_fn=forced_fn)
     except BudgetExceeded as exc:
-        exc.partial = _write_tree(exc.partial, node_cap)
+        exc.partial = ComputationTree(exc.partial, node_cap)
         raise
-    return _write_tree(layers, node_cap)
-
-
-def _write_tree(layers: Layers, node_cap: int) -> ComputationTree:
-    tree = ComputationTree(layers.depth, next(iter(layers.counts[0])))
-    nid = 0
-    while nid < tree.node_count:  # nodes are appended in BFS order
-        step = tree.depth_of[nid]
-        if step < len(layers.kids):
-            for child, label in layers.kids[step][tree.nodes[nid]]:
-                if tree.node_count >= node_cap:
-                    return tree
-                tree.add_child(nid, child, label)
-        nid += 1
-    return tree
+    return ComputationTree(layers, node_cap)

@@ -15,7 +15,9 @@ domain row: ``VAR@STEP(VAR=VALUE,...)=VALUE``. Tuple values use parentheses,
 from __future__ import annotations
 
 import json
+import operator
 import re
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .core import (
@@ -337,51 +339,69 @@ def model_from_json(data):
 
 # ---------------------------------------------------------------- trees
 
-def _record_value(payload) -> str:
-    """Canonical text of a value inside a tree record, indented to its level.
+def _record_value(payload, pad: str = "\n      ") -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, each newline made ``pad``."""
+    if isinstance(payload, str):
+        return encode_basestring_ascii(payload)
+    if isinstance(payload, int):
+        return int.__repr__(payload)
+    inner = pad + "  "
+    if isinstance(payload, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_record_value(v, inner)}" for k, v in sorted(payload.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}" if items else "{}"
+    items = [_record_value(v, inner) for v in payload]
+    return f"[{inner}{(',' + inner).join(items)}{pad}]" if items else "[]"
 
-    JSON escapes newlines inside strings, so every newline here is structural.
-    """
-    return json.dumps(payload, sort_keys=True, indent=2).replace("\n", "\n      ")
 
-
-def _records(records: list) -> str:
-    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+_NODE, _EDGE, _TAIL = '    {\n      "assign": ', '    {\n      "from": ', "\n    }"  # record heads, record tail
 
 
 def dumps_tree(tree, truncated: bool = False) -> str:
     """The canonical text of a tree, ``dumps_canonical`` of its JSON form.
 
-    The record shape is fixed, so it is written directly: each distinct
-    configuration's assignment and each distinct edge label is encoded once.
+    The record shape is fixed, so it is written from the tree's layers, a
+    level at a time, without the per-node lists. Per level, each distinct
+    configuration's record and each distinct row of children's edge records
+    are encoded once up to the ids, so a node costs a concatenation or two.
     """
-    assigns = {}
-    nodes = []
-    for i, (config, depth) in enumerate(zip(tree.nodes, tree.depth_of)):
-        assign = assigns.get(config)
-        if assign is None:
-            assign = assigns[config] = _record_value(
-                {v.render(): value_to_json(x) for v, x in config.support}
-            )
-        nodes.append(
-            f'    {{\n      "assign": {assign},\n      "depth": {depth:d},\n'
-            f'      "id": {i:d}\n    }}'
-        )
-    labels = {"None": "null"}  # by repr, which tells 1, True and "1" apart
-    edges = []
-    for i, (parent, label) in enumerate(zip(tree.parent, tree.labels)):
-        if parent is None:
-            continue
-        text = labels.get(repr(label))
-        if text is None:
-            text = labels[repr(label)] = _record_value(value_to_json(label))
-        edges.append(
-            f'    {{\n      "from": {parent:d},\n      "label": {text},\n      "to": {i:d}\n    }}'
-        )
-    return (
-        f'{{\n  "depth": {json.dumps(tree.depth)},\n  "edges": {_records(edges)},\n'
-        f'  "nodes": {_records(nodes)},\n  "truncated": {json.dumps(truncated)}\n}}\n'
-    )
+    counts, kids, n = tree.layers.counts, tree.layers.kids, tree.node_count
+    ids = list(map(str, range(n)))
+    assigns, rows, heads, edges = {}, {}, [], []  # records up to their node ids
+    level, start, step = list(counts[0]), 0, 0
+    while level:
+        end = start + len(level)
+        row_of = kids[step] if step < len(kids) and end < n else {}
+        depth = f',\n      "depth": {step},\n      "id": '
+        slots, below = {}, []
+        for parent, config in zip(ids[start:end], level):
+            slot = slots.get(config)
+            if slot is None:
+                assign = assigns.get(config)
+                if assign is None:
+                    assign = assigns[config] = _record_value(
+                        {v.render(): value_to_json(x) for v, x in config.support}
+                    )
+                row = row_of.get(config, ())
+                made = rows.get(id(row))  # rows live in the layers, so their ids stay theirs
+                if made is None:
+                    texts = (_record_value(value_to_json(x)) if x is not None else "null" for _, x in row)
+                    made = rows[id(row)] = (
+                        [child for child, _ in row], [f',\n      "label": {t},\n      "to": ' for t in texts]
+                    )
+                slot = slots[config] = (assign + depth, *made)
+            head, children, middles = slot
+            heads.append(head)
+            for middle in middles:
+                edges.append(parent + middle)
+            below += children
+        level, start, step = below[: n - end], end, step + 1
+    nodes = f"{_TAIL},\n{_NODE}".join(map(operator.add, heads, ids))
+    edges = f"{_TAIL},\n{_EDGE}".join(map(operator.add, edges, ids[1:]))
+    opened, closed = (f"[\n{_EDGE}", f"{_TAIL}\n  ]") if edges else ("[]", "")  # a root alone
+    return "".join((
+        f'{{\n  "depth": {json.dumps(tree.depth)},\n  "edges": ', opened, edges, closed,
+        f',\n  "nodes": [\n{_NODE}', nodes, f'{_TAIL}\n  ],\n  "truncated": {json.dumps(truncated)}\n}}\n',
+    ))
 
 
 def tree_to_json(tree, truncated: bool = False) -> dict:

@@ -94,6 +94,10 @@ class MachineSpec:
         )
         return "sha256:" + hashlib.sha256(body.encode()).hexdigest()
 
+    @cached_property
+    def _defects(self) -> tuple:  # the spec is frozen, so it is scanned once
+        return tuple(validate_machine(self))
+
 
 def _symbol_ok(sym: str) -> bool:
     return isinstance(sym, str) and sym != "" and not (set(sym) & _BAD_SYMBOL_CHARS)
@@ -174,7 +178,7 @@ def validate_machine(spec: MachineSpec) -> list[Defect]:
 
 
 def require_valid(spec: MachineSpec) -> MachineSpec:
-    defects = validate_machine(spec)
+    defects = spec._defects
     if defects:
         raise ValidationFailed(
             f"machine spec has {len(defects)} defect(s): {defects[0].code} on {defects[0].subject}",
@@ -320,7 +324,7 @@ def closure_run(
     tree = unfold(fresh, root, budget, node_cap=node_cap)
     if accepted_at is not None:
         return tree, ACCEPT
-    if tree.depth_of[-1] < budget:
+    if len(tree.layers.counts) <= budget:
         return tree, REJECT_EXHAUSTED
     return tree, NO_ACCEPT_WITHIN_BUDGET
 

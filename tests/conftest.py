@@ -7,7 +7,7 @@ guessing) that the semantics must reproduce exactly.
 
 import pytest
 
-from causalcalc import Model, PlainVar, Signature, TableEquation, VarId
+from causalcalc import ComputationTree, Model, PlainVar, Signature, TableEquation, VarId
 from causalcalc.machines import MachineSpec, Transition as T
 
 
@@ -249,3 +249,18 @@ def ntm_spec():
 @pytest.fixture
 def sweep_spec():
     return sweep_lba()
+
+
+@pytest.fixture
+def list_builds(monkeypatch):
+    """The per-node tree lists read while a test runs; reading one builds them all."""
+    reads = []
+    build = ComputationTree.__getattr__
+
+    def spy(tree, name):
+        if name in ("nodes", "parent", "depth_of", "children", "labels"):
+            reads.append(name)
+        return build(tree, name)
+
+    monkeypatch.setattr(ComputationTree, "__getattr__", spy)
+    return reads

@@ -159,6 +159,42 @@ def test_run_plain_model_by_root(capsys, counter_file):
     assert data["nodes"][0]["assign"] == {"X": 8}
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run", "--root", '{"X": 0}', "--depth", "9"], 0),
+        (["run", "--root", '{"X": 0}', "--depth", "9", "--node-cap", "300"], 3),
+        (["intervene", "--root", '{"X": 1}', "--depth", "9", "--do", "X@2=0,X@4=7"], 0),
+        (["intervene", "--root", '{"X": 1}', "--depth", "9", "--do", "X@2=0", "--node-cap", "7"], 3),
+        (["intervene", "--root", '{"X": 1}', "--depth", "9", "--rewrite", "X@1(X=2)=5"], 0),
+        (["intervene", "--root", '{"X": 1}', "--depth", "9", "--rewrite", "X@1(X=2)=5",
+          "--node-cap", "40"], 3),
+    ],
+    ids=["run", "run-cut", "do", "do-cut", "rewrite", "rewrite-cut"],
+)
+def test_trees_are_written_without_per_node_lists(
+    capsys, tmp_path, counter_file, list_builds, argv, code
+):
+    """The caps fall inside a level; stdout and --out get the same bytes."""
+    argv = [argv[0], counter_file, *argv[1:]]
+    assert main(argv) == code
+    stdout = capsys.readouterr().out
+    out = tmp_path / "tree.json"
+    assert main([*argv, "--out", str(out)]) == code
+    assert out.read_bytes() == stdout.encode()
+    assert json.loads(stdout)["truncated"] == (code == 3)
+    assert list_builds == []
+
+
+def test_labelled_runs_and_accepts_build_no_per_node_lists(capsys, parity_model_file, list_builds):
+    assert main(["run", parity_model_file, "--input", "11", "--depth", "6"]) == 0
+    assert main(["run", parity_model_file, "--input", "11", "--depth", "6", "--node-cap", "3"]) == 3
+    capsys.readouterr()
+    code, report = run_json(capsys, ["accepts", parity_model_file, "--input", "11", "--budget", "20"])
+    assert (code, report["verdict"]) == (0, "ACCEPT")
+    assert list_builds == []
+
+
 def test_run_requires_some_root(capsys, counter_file):
     assert main(["run", counter_file, "--depth", "2"]) == 1
     assert main(["run", counter_file, "--input", "1", "--depth", "2"]) == 1

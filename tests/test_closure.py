@@ -20,13 +20,22 @@ from causalcalc import (
     calc_accepts,
     compile_lba,
     compile_lba_monolithic,
+    compile_machine,
     compile_ntm,
     initial_machine_config,
     machine_step,
     run_machine,
     validate_machine,
 )
-from conftest import walk_lba
+from conftest import (
+    abc_lba,
+    alternation_tm,
+    guess_ntm,
+    parity_lba,
+    sweep_lba,
+    walk_lba,
+    walkback_lba,
+)
 
 
 def reachable(spec, word, budget, tape_len):
@@ -116,6 +125,45 @@ def test_closure_runs_count_the_reachable_set_and_agree_with_calculators():
             assert (calc_accepts(calc, word, budget)[1] == ACCEPT) == accepted
         verdicts[verdict] += 1
     assert min(verdicts.values()) >= 15, verdicts
+
+
+@pytest.mark.parametrize(
+    "make, tape_len, words",
+    [
+        (parity_lba, 3, ["", "1", "11", "101"]),
+        (abc_lba, 3, ["", "abc", "aab", "cba"]),
+        (sweep_lba, 3, ["", "ab", "bba"]),
+        (walkback_lba, 3, ["a", "ab", "bab"]),
+        (walk_lba, 4, ["ab", "b"]),
+        (guess_ntm, None, ["", "01", "110"]),
+        (alternation_tm, None, ["", "0101", "0110"]),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_closure_sizes_and_verdicts_need_no_per_node_lists(list_builds, make, tape_len, words):
+    """``accepts``' node count and verdict on the fixture machines and their
+    calculators are what the tree's lists say: every node counted, ACCEPT on
+    a final node, REJECT_EXHAUSTED when the last node lies short of the budget."""
+    spec = make()
+    runs = [(lambda w, b: run_machine(spec, w, b, tape_len=tape_len), lambda c: c.state in spec.finals)]
+    calcs = (
+        [compile_lba(spec, tape_len), compile_lba_monolithic(spec, tape_len)]
+        if tape_len else [compile_machine(spec)]
+    )
+    runs += [(lambda w, b, calc=calc: calc_accepts(calc, w, b), calc.accepting) for calc in calcs]
+    for word in words:
+        for budget in (0, 1, 2, 5, 40):
+            for run, is_final in runs:
+                tree, verdict = run(word, budget)
+                count = tree.node_count
+                assert list_builds == []
+                want = (
+                    ACCEPT if any(map(is_final, tree.nodes))
+                    else REJECT_EXHAUSTED if tree.depth_of[-1] < budget
+                    else NO_ACCEPT_WITHIN_BUDGET
+                )
+                assert (count, verdict) == (len(tree.nodes), want)
+                list_builds.clear()
 
 
 @pytest.mark.xfail(

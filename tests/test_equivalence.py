@@ -24,7 +24,7 @@ from causalcalc import (
     run_machine,
 )
 from causalcalc import compilers, core, equivalence, machines, reference
-from causalcalc.errors import CausalCalcError, KindMismatch
+from causalcalc.errors import CausalCalcError, KindMismatch, ValidationFailed
 from conftest import alternation_tm, parity_lba, sweep_lba, walk_lba
 import oracle_walk
 from oracle_walk import lockstep_walk
@@ -420,3 +420,32 @@ def test_walk_work_is_counted_per_distinct_pair(monkeypatch):
         assert set(stepped) == {m for m, _, _ in edges if m is not None}
         assert max(stepped.values()) == 1
         assert checked.keys() == sampled.keys() and max(checked.values()) == 1
+
+
+def test_a_spec_is_scanned_once_across_repeated_checks(monkeypatch):
+    scans = collections.Counter()
+    scan = machines.validate_machine
+
+    def spy(spec):
+        scans[id(spec)] += 1
+        return scan(spec)
+
+    monkeypatch.setattr(machines, "validate_machine", spy)
+    spec = parity_lba()
+    calc = compile_lba(spec, 2)
+    for _ in range(3):
+        assert check_equivalence(spec, calc, "11", 4).equivalent
+    assert scans == {id(spec): 1}
+
+    broken = dataclasses.replace(spec, initial="nowhere")
+    raised = []
+    for _ in range(3):
+        with pytest.raises(ValidationFailed) as info:
+            check_equivalence(broken, calc, "11", 4)
+        raised.append(info.value)
+        assert info.value.defects == [core.Defect("BadInitial", "nowhere", "initial state undeclared")]
+        info.value.defects.clear()  # a caller's edits reach no later raise
+    assert scans[id(broken)] == 1
+    assert len({str(e) for e in raised}) == 1
+    assert str(raised[0]) == "machine spec has 1 defect(s): BadInitial on nowhere"
+

@@ -11,18 +11,23 @@ encoder writes for a tree's JSON form built as dicts, on random table models
 and compiled fixtures, whole or cut at a node cap.
 """
 
+import itertools
 import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from causalcalc import (
+    InterventionSpec,
     Model,
     PlainVar,
     Signature,
+    StructureInterventionSpec,
     TableEquation,
     VarId,
     active_variables,
+    apply_intervention,
+    apply_structure_intervention,
     calc_labeler,
     compile_lba,
     compile_lba_monolithic,
@@ -56,7 +61,15 @@ from causalcalc.formats import (
     value_to_json,
 )
 from causalcalc.machines import KINDS, MOVES, MachineSpec, Transition, validate_machine
-from conftest import abc_lba, alternation_tm, counter_model, guess_ntm, parity_lba
+from conftest import (
+    abc_lba,
+    alternation_tm,
+    constant_one_model,
+    counter_model,
+    guess_ntm,
+    parity_lba,
+    walk_lba,
+)
 from test_fuzz import _paths, _replace, json_values
 
 # plain tokens: the characters the grammar and the table output reserve are out
@@ -284,6 +297,72 @@ def test_tree_writer_matches_the_generic_encoder(case, node_cap):
             truncated = False
         except BudgetExceeded as exc:
             tree, truncated = exc.partial, True
+        want = ref(tree, truncated)
+        assert dumps_tree(tree, truncated) == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        assert tree_to_json(tree, truncated) == want
+
+
+def _x(model, value):
+    return model.configuration({VarId("X"): value})
+
+
+ONE, COUNTER_MODEL, WALK = constant_one_model(), counter_model(), compile_lba(walk_lba(), 4)
+SHAPED_TREES = {
+    # deep and thin: the 50-step constant_one chain, plain and under the all-rows rewrite
+    "chain": lambda cap: expand_tree(ONE, _x(ONE, 0), 50, node_cap=cap),
+    "chain_rewrite": lambda cap: apply_structure_intervention(
+        ONE, _x(ONE, 1), StructureInterventionSpec(parse_rewrites(ONE, "X@0(X=0)=0,X@0(X=1)=0")),
+        50, node_cap=cap,
+    ),
+    # wide: the counter to depths 10-12, with and without pinned values
+    "counter_10": lambda cap: expand_tree(COUNTER_MODEL, _x(COUNTER_MODEL, 0), 10, node_cap=cap),
+    "counter_12": lambda cap: expand_tree(COUNTER_MODEL, _x(COUNTER_MODEL, 3), 12, node_cap=cap),
+    "counter_do": lambda cap: apply_intervention(
+        COUNTER_MODEL, _x(COUNTER_MODEL, 2), InterventionSpec(parse_atoms(COUNTER_MODEL, "X@2=1,X@5=8")),
+        11, node_cap=cap,
+    ),
+    # labelled compiled runs, as `run --input` builds them
+    **{
+        f"compiled_{i}": (
+            lambda cap, calc=calc, word=word: expand_tree(
+                calc.model, calc.initial(word), 8, node_cap=cap, labeler=calc_labeler(calc)
+            )
+        )
+        for i, (calc, word) in enumerate(zip(COMPILED, ["10", "11", "0101", "01"]))
+    },
+    # a wide labelled run, its moves also inside tuple labels with escaped text
+    "compiled_walk": lambda cap: expand_tree(
+        WALK.model, WALK.initial("ab"), 10, node_cap=cap, labeler=calc_labeler(WALK)
+    ),
+    "compiled_walk_tuples": lambda cap: expand_tree(
+        WALK.model, WALK.initial("ab"), 9, node_cap=cap,
+        labeler=lambda parent, child: (edge_label(WALK, parent, child), "é\n\"", ()),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPED_TREES))
+def test_tree_writer_matches_the_generic_encoder_on_deep_wide_and_cut_trees(name):
+    """Whole trees, and trees cut by node caps that fall inside a level, at its
+    ends and past the tree; a cut tree is the whole tree's first nodes."""
+    build = SHAPED_TREES[name]
+    whole = build(10**7)
+    ends = list(itertools.accumulate(len(whole.nodes_at(s)) for s in range(whole.depth_of[-1] + 1)))
+    inside = {(a + b) // 2 for a, b in zip(ends, ends[1:]) if b - a > 1}
+    caps = sorted({1, 2, 3, *ends, *(e + 1 for e in ends), *inside, whole.node_count - 1} - {0})
+    assert inside or whole.node_count == len(ends), "no cap falls inside a level of a wide tree"
+    for cap in caps:
+        try:
+            tree, truncated = build(cap), False
+        except BudgetExceeded as exc:
+            tree, truncated = exc.partial, True
+        assert truncated == (cap < whole.node_count)
+        size = min(cap, whole.node_count)
+        assert tree.node_count == size
+        assert tree.nodes == whole.nodes[:size]
+        assert tree.parent == whole.parent[:size]
+        assert tree.labels == whole.labels[:size]
+        assert tree.depth_of == whole.depth_of[:size]
         want = ref(tree, truncated)
         assert dumps_tree(tree, truncated) == json.dumps(want, sort_keys=True, indent=2) + "\n"
         assert tree_to_json(tree, truncated) == want
