@@ -230,17 +230,25 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+def _write_tree(build, out_path) -> int:
+    """Write the tree ``build()`` makes; past the node cap, its cut tree marked truncated."""
+    try:
+        tree = build()
+    except BudgetExceeded as exc:
+        _write(dumps_tree(exc.partial, truncated=True), out_path)
+        return 3
+    _write(dumps_tree(tree), out_path)
+    return 0
+
+
 def _cmd_run(args) -> int:
     calc, model = _load_model(args.model)
     root = _make_root(calc, model, args)
     labeler = calc_labeler(calc) if calc else None
-    try:
-        tree = expand_tree(model, root, args.depth, node_cap=_node_cap(args), labeler=labeler)
-    except BudgetExceeded as exc:
-        _write(dumps_tree(exc.partial, truncated=True), args.out)
-        return 3
-    _write(dumps_tree(tree), args.out)
-    return 0
+    return _write_tree(
+        lambda: expand_tree(model, root, args.depth, node_cap=_node_cap(args), labeler=labeler),
+        args.out,
+    )
 
 
 def _cmd_accepts(args) -> int:
@@ -298,22 +306,15 @@ def _cmd_intervene(args) -> int:
     if (args.do_atoms is None) == (args.rewrite is None):
         raise CliUsage("give exactly one of --do or --rewrite")
     labeler = calc_labeler(calc) if calc else None
-    try:
-        if args.do_atoms is not None:
-            spec = InterventionSpec(parse_atoms(model, args.do_atoms))
-            tree = apply_intervention(
-                model, root, spec, args.depth, node_cap=_node_cap(args), labeler=labeler
-            )
-        else:
-            spec = StructureInterventionSpec(parse_rewrites(model, args.rewrite))
-            tree = apply_structure_intervention(
-                model, root, spec, args.depth, node_cap=_node_cap(args), labeler=labeler
-            )
-    except BudgetExceeded as exc:
-        _write(dumps_tree(exc.partial, truncated=True), args.out)
-        return 3
-    _write(dumps_tree(tree), args.out)
-    return 0
+    if args.do_atoms is not None:
+        apply, spec = apply_intervention, InterventionSpec(parse_atoms(model, args.do_atoms))
+    else:
+        apply = apply_structure_intervention
+        spec = StructureInterventionSpec(parse_rewrites(model, args.rewrite))
+    return _write_tree(
+        lambda: apply(model, root, spec, args.depth, node_cap=_node_cap(args), labeler=labeler),
+        args.out,
+    )
 
 
 def _cmd_cause(args) -> int:

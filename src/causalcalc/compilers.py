@@ -138,9 +138,8 @@ class LbaWindowRule(_MachineRule):
             neighbor = view[VarId(CELL, move)]
             scanned = written if move == 0 else neighbor
             return frozenset(delta_f_image(self.spec, state, scanned))
-        w = self.n + 1
-        j = index + move
-        if not -w <= j <= w:
+        n, j = self.n, index + move
+        if n is not None and not -n - 1 <= j <= n + 1:
             # wall cells have no outer neighbor; their stale content is never
             # inside the decodable frame again, so they may keep it
             j = index
@@ -149,10 +148,14 @@ class LbaWindowRule(_MachineRule):
         return frozenset([view[VarId(CELL, j)]])
 
 
-class NtmWindowRule(_MachineRule):
-    """Unbounded variant of the window equations; no wall cells."""
+class NtmWindowRule(LbaWindowRule):
+    """Unbounded variant of the window equations; no wall cells (``n`` is None)."""
 
     builtin = "ntm_window_step"
+    _identity = _MachineRule._identity
+
+    def __init__(self, spec: MachineSpec):
+        super().__init__(spec, None)
 
     def domain_of(self, index: int | None) -> tuple[VarId, ...]:
         if index is None:
@@ -164,17 +167,6 @@ class NtmWindowRule(_MachineRule):
             if j != 0:
                 out.append(VarId(CELL, j))
         return tuple(out)
-
-    def outputs(self, index, view) -> frozenset:
-        state, written, move = view[HEAD_ID]
-        if index == 0:
-            neighbor = view[VarId(CELL, move)]
-            scanned = written if move == 0 else neighbor
-            return frozenset(delta_f_image(self.spec, state, scanned))
-        j = index + move
-        if j == 0:
-            return frozenset([written])
-        return frozenset([view[VarId(CELL, j)]])
 
 
 class TmStateRule(_MachineRule):

@@ -637,23 +637,36 @@ class ComputationTree:
     Nodes are model configurations or machine configurations. They get BFS
     ids; the children of each node come in canonical order, so equal
     expansions produce identical trees. Branches can end early when a
-    configuration has no successors. Every tree is made by :func:`unfold`
-    and holds the ``layers`` it unfolds: it is their tree's first
+    configuration has no successors. Every tree is made by
+    :func:`reach_layers` and is held as its per-step reachable sets:
+    ``counts[s]`` maps each configuration at step s to the number of tree
+    nodes holding it, and ``kids[s][c]`` gives the (child, label) pairs of
+    ``c`` at step s in canonical order. Every tree node that holds ``c`` at
+    step s has those children, because forced values depend only on (step,
+    parent); the sets stop early when a step comes out empty. ``total`` is
+    the number of nodes in the whole tree; the tree is its first
     ``node_count`` nodes in BFS order, so a node cap can cut it inside a
-    level. ``formats.dumps_tree`` writes its text from the layers, a level at
-    a time; the per-node lists (``nodes``, ``parent``, ``depth_of``,
-    ``children``, ``labels``) are built from them when one is first read.
+    level. Predicates are answered from the sets, and
+    ``formats.dumps_tree`` writes the text from them, a level at a time; the
+    per-node lists (``nodes``, ``parent``, ``depth_of``, ``children``,
+    ``labels``) are built from them when one is first read.
     """
 
-    def __init__(self, layers: "Layers", node_cap: int = DEFAULT_NODE_CAP):
-        self.layers = layers
-        self.depth = layers.depth
-        self.node_count = max(1, min(layers.total, node_cap))
+    def __init__(self, depth: int, root, node_cap: int = DEFAULT_NODE_CAP):
+        self.depth = depth
+        self.node_cap = node_cap
+        self.counts: list[dict[Configuration, int]] = [{root: 1}]
+        self.kids: list[dict[Configuration, tuple]] = []
+        self.total = 1
+
+    @property
+    def node_count(self) -> int:
+        return max(1, min(self.total, self.node_cap))
 
     def __getattr__(self, name):
         if name not in ("nodes", "parent", "depth_of", "children", "labels"):
             raise AttributeError(name)
-        kids, n, nodes = self.layers.kids, self.node_count, list(self.layers.counts[0])
+        kids, n, nodes = self.kids, self.node_count, list(self.counts[0])
         parent, depth_of, children, labels = [None], [0], [], [None]
         while len(nodes) < n:  # nodes are appended in BFS order
             pid = len(children)
@@ -691,99 +704,6 @@ class ComputationTree:
             node_id = self.parent[node_id]
         return tuple(reversed(out))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ComputationTree)
-            and self.depth == other.depth
-            and self.nodes == other.nodes
-            and self.parent == other.parent
-            and self.labels == other.labels
-        )
-
-    def __repr__(self):
-        return f"<tree depth={self.depth} nodes={self.node_count}>"
-
-
-ForcedFn = Callable[[int, Configuration], Optional[Mapping[VarId, Value]]]
-
-
-def expand_tree(
-    model: Model,
-    root: Configuration,
-    depth: int,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-    labeler: Labeler | None = None,
-    forced_fn: ForcedFn | None = None,
-) -> ComputationTree:
-    """The model's computation tree to exactly ``depth`` steps.
-
-    ``forced_fn(step, parent)`` can force the values of variables in the
-    children born at ``step`` (see ``successor_choices``); interventions are
-    implemented that way. Each distinct (parent, forced values) pair is
-    expanded once. Raises BudgetExceeded (carrying the partial tree) past
-    ``node_cap`` nodes.
-    """
-    succ = memo_successors(model, labeler)
-    return unfold(succ, root, depth, node_cap=node_cap, forced_fn=forced_fn)
-
-
-TimedAssignment = tuple[VarId, int, Value]
-
-
-@dataclass
-class HoldsReport:
-    holds: bool
-    mode: str
-    witnesses: list[tuple[int, ...]]  # node id paths
-
-
-def holds_at(
-    tree: ComputationTree,
-    timed: Sequence[TimedAssignment],
-    mode: str = "some",
-) -> HoldsReport:
-    """Check timed assignments over complete branches of the tree.
-
-    ``some`` asks for at least one branch satisfying every (var, step, value)
-    triple; ``all`` asks for every branch. A branch that dies before a
-    referenced step does not satisfy. Witnesses are the satisfying branches
-    for ``some`` and the violating ones for ``all``.
-    """
-    if mode not in ("some", "all"):
-        raise ValueError(f"mode must be 'some' or 'all', got {mode!r}")
-    for var, step, _ in timed:
-        if step > tree.depth:
-            raise StepBeyondDepth(f"{var.render()}@{step} exceeds depth {tree.depth}")
-    hits, misses = [], []
-    for path in tree.branches():
-        ok = all(
-            step < len(path) and tree.nodes[path[step]].get(var) == value
-            for var, step, value in timed
-        )
-        (hits if ok else misses).append(tuple(path))
-    if mode == "some":
-        return HoldsReport(bool(hits), mode, hits)
-    return HoldsReport(not misses, mode, misses)
-
-
-class Layers:
-    """The per-step reachable sets of a computation tree, without the tree.
-
-    ``counts[s]`` maps each configuration at step s to the number of tree
-    nodes holding it, and ``kids[s][c]`` gives the (child, label) pairs of
-    ``c`` at step s in canonical order. Every tree node that holds ``c`` at
-    step s has those children, because forced values depend only on (step,
-    parent). Like the tree, the layers stop early when a step comes out
-    empty. ``total`` is the number of nodes in the tree.
-    """
-
-    def __init__(self, depth: int, root: Configuration):
-        self.depth = depth
-        self.counts: list[dict[Configuration, int]] = [{root: 1}]
-        self.kids: list[dict[Configuration, tuple]] = []
-        self.total = 1
-
     def _wanted(self, timed: Sequence[TimedAssignment]):
         for var, step, _ in timed:
             if step > self.depth:
@@ -816,7 +736,7 @@ class Layers:
         return sets
 
     def holds(self, timed: Sequence[TimedAssignment], mode: str = "some") -> bool:
-        """The verdict of :func:`holds_at` on the tree these layers count."""
+        """The verdict of :func:`holds_at` on this tree, read off its reachable sets."""
         if mode not in ("some", "all"):
             raise ValueError(f"mode must be 'some' or 'all', got {mode!r}")
         ok, last = self._wanted(timed)
@@ -831,7 +751,7 @@ class Layers:
         return True
 
     def first_witness(self, timed: Sequence[TimedAssignment]) -> tuple[int, ...] | None:
-        """The first satisfying branch, in the node ids of the implied tree.
+        """The first satisfying branch, as node ids, read off the reachable sets.
 
         This is ``holds_at(tree, timed, "some").witnesses[0]``, or None when
         no branch satisfies. The walk takes, at each step, the first child in
@@ -873,6 +793,81 @@ class Layers:
             before, config = following, children[pick]
         return tuple(path)
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, ComputationTree)
+            and self.depth == other.depth
+            and self.nodes == other.nodes
+            and self.parent == other.parent
+            and self.labels == other.labels
+        )
+
+    def __repr__(self):
+        return f"<tree depth={self.depth} nodes={self.node_count}>"
+
+
+ForcedFn = Callable[[int, Configuration], Optional[Mapping[VarId, Value]]]
+
+
+def expand_tree(
+    model: Model,
+    root: Configuration,
+    depth: int,
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+    labeler: Labeler | None = None,
+    forced_fn: ForcedFn | None = None,
+) -> ComputationTree:
+    """The model's computation tree to exactly ``depth`` steps.
+
+    ``forced_fn(step, parent)`` can force the values of variables in the
+    children born at ``step`` (see ``successor_choices``); interventions are
+    implemented that way. Each distinct (parent, forced values) pair is
+    expanded once. Raises BudgetExceeded (carrying the partial tree) past
+    ``node_cap`` nodes.
+    """
+    succ = memo_successors(model, labeler)
+    return reach_layers(succ, root, depth, node_cap=node_cap, forced_fn=forced_fn)
+
+
+TimedAssignment = tuple[VarId, int, Value]
+
+
+@dataclass
+class HoldsReport:
+    holds: bool
+    mode: str
+    witnesses: list[tuple[int, ...]]  # node id paths
+
+
+def holds_at(
+    tree: ComputationTree,
+    timed: Sequence[TimedAssignment],
+    mode: str = "some",
+) -> HoldsReport:
+    """Check timed assignments over complete branches of the tree.
+
+    ``some`` asks for at least one branch satisfying every (var, step, value)
+    triple; ``all`` asks for every branch. A branch that dies before a
+    referenced step does not satisfy. Witnesses are the satisfying branches
+    for ``some`` and the violating ones for ``all``.
+    """
+    if mode not in ("some", "all"):
+        raise ValueError(f"mode must be 'some' or 'all', got {mode!r}")
+    for var, step, _ in timed:
+        if step > tree.depth:
+            raise StepBeyondDepth(f"{var.render()}@{step} exceeds depth {tree.depth}")
+    hits, misses = [], []
+    for path in tree.branches():
+        ok = all(
+            step < len(path) and tree.nodes[path[step]].get(var) == value
+            for var, step, value in timed
+        )
+        (hits if ok else misses).append(tuple(path))
+    if mode == "some":
+        return HoldsReport(bool(hits), mode, hits)
+    return HoldsReport(not misses, mode, misses)
+
 
 def reach_layers(
     succ: SuccessorFn,
@@ -881,8 +876,8 @@ def reach_layers(
     *,
     node_cap: int = DEFAULT_NODE_CAP,
     forced_fn: ForcedFn | None = None,
-) -> Layers:
-    """The per-step reachable sets of the tree ``succ`` unfolds from ``root``.
+) -> ComputationTree:
+    """The tree ``succ`` unfolds from ``root``, as its per-step reachable sets.
 
     This is the one level loop behind every tree and query.
     ``succ(config, forced)`` gives (child, label) pairs, deduplicated and in
@@ -890,47 +885,26 @@ def reach_layers(
     step; ``forced_fn`` is as for ``expand_tree``. The cost grows with the
     distinct configurations per step, not with the tree. The cap counts the
     nodes of that tree: the step that takes it past ``node_cap`` is
-    finished, then BudgetExceeded is raised with the layers so far as its
-    partial result.
+    finished, then BudgetExceeded is raised with the tree so far as its
+    partial result, cut to its first ``node_cap`` nodes.
     """
-    layers = Layers(depth, root)
+    tree = ComputationTree(depth, root, node_cap)
     total = 1
     for step in range(1, depth + 1):
         kids, following = {}, {}
-        for config, n in layers.counts[-1].items():
+        for config, n in tree.counts[-1].items():
             forced = forced_fn(step, config) if forced_fn else None
             children = kids[config] = succ(config, forced)
             total += n * len(children)
             for child, _ in children:
                 following[child] = following.get(child, 0) + n
-        layers.kids.append(kids)
+        tree.kids.append(kids)
         if not following:
             break
-        layers.counts.append(following)
-        layers.total = total
+        tree.counts.append(following)
+        tree.total = total
         if total > node_cap:
             raise BudgetExceeded(
-                f"node budget {node_cap} exhausted at step {step}", partial=layers
+                f"node budget {node_cap} exhausted at step {step}", partial=tree
             )
-    return layers
-
-
-def unfold(
-    succ: SuccessorFn,
-    root,
-    depth: int,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-    forced_fn: ForcedFn | None = None,
-) -> ComputationTree:
-    """The tree of ``reach_layers``' layers, its nodes written in BFS order.
-
-    Past ``node_cap`` nodes, BudgetExceeded carries the tree's first
-    ``node_cap`` nodes (at least the root) as its partial tree.
-    """
-    try:
-        layers = reach_layers(succ, root, depth, node_cap=node_cap, forced_fn=forced_fn)
-    except BudgetExceeded as exc:
-        exc.partial = ComputationTree(exc.partial, node_cap)
-        raise
-    return ComputationTree(layers, node_cap)
+    return tree

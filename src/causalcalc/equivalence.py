@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import islice
 
-from .core import DEFAULT_NODE_CAP, Layers, SuccessorFn, memo_successors, reach_layers
+from .core import DEFAULT_NODE_CAP, ComputationTree, SuccessorFn, memo_successors, reach_layers
 from .compilers import CalculatorModel, calc_accepts, calc_labeler, decode_config, initial_calc_config
 from .errors import BudgetExceeded, CausalCalcError, KindMismatch, UndecodableConfig
 from .machines import MachineSpec, initial_machine_config, machine_step, require_valid, run_machine
@@ -67,40 +66,33 @@ def _compat(spec: MachineSpec, calc: CalculatorModel):
         raise KindMismatch("calculator was compiled from a different machine")
 
 
-def _tree_levels(layers: Layers):
-    """Each step's tree nodes in BFS order, as (pair, label path) lists."""
-    level = [(next(iter(layers.counts[0])), ())]
-    for kids in layers.kids:
-        yield level
-        level = [(kid, path + (d,)) for pair, path in level for kid, d in kids[pair]]
-    yield level
-
-
-def _recheck(calc: CalculatorModel, succ: SuccessorFn, layers: Layers, fraction: float, seed: int):
+def _recheck(calc: CalculatorModel, succ: SuccessorFn, walk: ComputationTree, fraction: float, seed: int):
     """Main-route (``succ``) and reference-route successors on a sample of tree nodes."""
-    nodes = [pair[1] for level in _tree_levels(layers) for pair, _ in level]
+    nodes = walk.nodes  # (machine, calculator) pairs
     k = min(max(1, int(len(nodes) * fraction)), len(nodes))
     sample = random.Random(seed).sample(range(len(nodes)), k)
-    for cfg in dict.fromkeys(nodes[i] for i in sample):  # each distinct configuration once
+    for cfg in dict.fromkeys(nodes[i][1] for i in sample):  # each distinct configuration once
         if frozenset(c for c, _ in succ(cfg)) != reference.successor_set(calc, cfg):
             detail = "two successor routes differ on a visited configuration"
             return k, Counterexample("reference_disagreement", (), detail, calc_config=cfg)
     return k, None
 
 
-def _first_failure(memo: dict, layers: Layers, last: int, visited: int, node_cap: int):
+def _first_failure(memo: dict, walk: ComputationTree, last: int, visited: int, node_cap: int):
     """The first node at step ``last`` to fail, in BFS order, as the lockstep walk checked
-    each: decoding, the node cap (``visited`` nodes are through that step), the match."""
-    for pair, path in next(islice(_tree_levels(layers), last, None)):
-        kids = memo[pair]
+    each: decoding, the node cap (``visited`` nodes are through that step), the match.
+    The walk's nodes through its last expanded step are within the cap, so it holds them."""
+    for nid in walk.nodes_at(last):
+        kids = memo[walk.nodes[nid]]
         width = len(kids) if type(kids) is tuple else kids.width
         if width is not None and visited + width > node_cap:
-            return Counterexample("node_cap", path, f"walk exceeds {node_cap} nodes")
+            return Counterexample("node_cap", walk.label_path(nid), f"walk exceeds {node_cap} nodes")
         if type(kids) is not tuple:
             e = kids.error
             if isinstance(e, CausalCalcError):
                 raise e
-            return Counterexample(e.kind, path + e.path, e.detail, e.machine_config, e.calc_config)
+            path = walk.label_path(nid) + e.path
+            return Counterexample(e.kind, path, e.detail, e.machine_config, e.calc_config)
         visited += width
 
 

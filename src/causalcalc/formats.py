@@ -359,12 +359,12 @@ _NODE, _EDGE, _TAIL = '    {\n      "assign": ', '    {\n      "from": ', "\n   
 def dumps_tree(tree, truncated: bool = False) -> str:
     """The canonical text of a tree, ``dumps_canonical`` of its JSON form.
 
-    The record shape is fixed, so it is written from the tree's layers, a
-    level at a time, without the per-node lists. Per level, each distinct
+    The record shape is fixed, so it is written from ``counts`` and ``kids``,
+    a level at a time, without the per-node lists. Per level, each distinct
     configuration's record and each distinct row of children's edge records
     are encoded once up to the ids, so a node costs a concatenation or two.
     """
-    counts, kids, n = tree.layers.counts, tree.layers.kids, tree.node_count
+    counts, kids, n = tree.counts, tree.kids, tree.node_count
     ids = list(map(str, range(n)))
     assigns, rows, heads, edges = {}, {}, [], []  # records up to their node ids
     level, start, step = list(counts[0]), 0, 0
@@ -382,7 +382,7 @@ def dumps_tree(tree, truncated: bool = False) -> str:
                         {v.render(): value_to_json(x) for v, x in config.support}
                     )
                 row = row_of.get(config, ())
-                made = rows.get(id(row))  # rows live in the layers, so their ids stay theirs
+                made = rows.get(id(row))  # rows live in the tree, so their ids stay theirs
                 if made is None:
                     texts = (_record_value(value_to_json(x)) if x is not None else "null" for _, x in row)
                     made = rows[id(row)] = (

@@ -158,8 +158,8 @@ def apply_intervention(
     )
 
 
-def _pinned_layers(model, succ, root, spec, depth, node_cap):
-    """The layers of the tree ``apply_intervention`` would build."""
+def _pinned_tree(model, succ, root, spec, depth, node_cap):
+    """The tree ``apply_intervention`` would build, unfolded through ``succ``."""
     root, forced_fn = _pinned(model, root, spec, depth)
     return reach_layers(succ, root, depth, node_cap=node_cap, forced_fn=forced_fn)
 
@@ -229,7 +229,7 @@ def _prevents(
         spec = InterventionSpec(
             [Atom(a.var, a.step, v) for a, v in zip(atoms, combo)]
         )
-        if not _pinned_layers(model, succ, root, spec, depth, node_cap).holds(timed):
+        if not _pinned_tree(model, succ, root, spec, depth, node_cap).holds(timed):
             return {a.render(): render_value(v) for a, v in zip(atoms, combo)}
     return None
 
@@ -383,11 +383,11 @@ def sweep(
     for atoms in combos:
         depth = max(horizon, max(a.step for a in atoms))
         try:
-            layers = _pinned_layers(model, succ, root, InterventionSpec(atoms), depth, node_cap)
+            tree = _pinned_tree(model, succ, root, InterventionSpec(atoms), depth, node_cap)
         except BudgetExceeded:
             truncated = True
             break
-        verdict = layers.holds(outcome, mode)
+        verdict = tree.holds(outcome, mode)
         rows.append(
             SweepRow(
                 atoms=tuple(atoms),

@@ -16,7 +16,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import DEFAULT_NODE_CAP, ComputationTree, Defect, unfold
+from .core import DEFAULT_NODE_CAP, ComputationTree, Defect, reach_layers
 from .errors import (
     InputNotInAlphabet,
     InputTooLong,
@@ -293,7 +293,7 @@ def closure_run(
     """Expand breadth-first, visiting each configuration once, with a verdict.
 
     ``successors_fn(node)`` gives (node, label) pairs, deduplicated and in
-    canonical order. The tree is the :func:`causalcalc.core.unfold` of a
+    canonical order. The tree is the :func:`causalcalc.core.reach_layers` of a
     filter that keeps one map {configuration: step first reached} and drops
     every successor already in it, so each reachable configuration is one
     node, at its breadth-first distance from the root. Nodes on the first
@@ -321,17 +321,17 @@ def closure_run(
                 accepted_at = step
         return out
 
-    tree = unfold(fresh, root, budget, node_cap=node_cap)
+    tree = reach_layers(fresh, root, budget, node_cap=node_cap)
     if accepted_at is not None:
         return tree, ACCEPT
-    if len(tree.layers.counts) <= budget:
+    if len(tree.counts) <= budget:
         return tree, REJECT_EXHAUSTED
     return tree, NO_ACCEPT_WITHIN_BUDGET
 
 
 def plain_run(root, successors_fn, depth: int, *, node_cap: int = DEFAULT_NODE_CAP) -> ComputationTree:
     """Expand to ``depth`` steps, revisits included, or until every branch has died."""
-    return unfold(lambda node, _forced: successors_fn(node), root, depth, node_cap=node_cap)
+    return reach_layers(lambda node, _forced: successors_fn(node), root, depth, node_cap=node_cap)
 
 
 def _machine_children(spec: MachineSpec, cfg) -> list:

@@ -22,7 +22,7 @@ from causalcalc import (
     successors,
     validate_model,
 )
-from causalcalc.core import value_key
+from causalcalc.core import memo_successors, reach_layers, value_key
 from causalcalc.errors import (
     BudgetExceeded,
     MissingDomainValue,
@@ -30,6 +30,9 @@ from causalcalc.errors import (
     StepBeyondDepth,
     UnknownVariable,
 )
+from causalcalc.formats import dumps_tree
+from causalcalc.machines import closure_run, machine_tree
+from conftest import walk_lba
 
 X = VarId("X")
 
@@ -154,6 +157,25 @@ def test_node_budget_carries_partial_tree(counter):
     with pytest.raises(BudgetExceeded) as err:
         expand_tree(counter, root, 10, node_cap=5)
     assert err.value.partial.node_count == 5
+
+
+def test_every_expander_carries_a_computation_tree_past_its_cap(counter):
+    root = counter.configuration({X: 0})
+    walk = walk_lba()
+    for cap in (1, 2, 5, 6, 30, 100):
+        partials = []
+        for build in (
+            lambda: reach_layers(memo_successors(counter), root, 10, node_cap=cap),
+            lambda: expand_tree(counter, root, 10, node_cap=cap),
+            lambda: machine_tree(walk, "ab", 10, tape_len=3, node_cap=cap),
+            lambda: closure_run(1, lambda n: [(2 * n, 0), (2 * n + 1, 1)], lambda n: False, 10, node_cap=cap),
+        ):
+            with pytest.raises(BudgetExceeded) as err:
+                build()
+            assert type(err.value.partial) is ComputationTree
+            assert err.value.partial.node_count == cap
+            partials.append(err.value.partial)
+        assert dumps_tree(partials[0], True) == dumps_tree(partials[1], True)
 
 
 def test_label_paths_and_branches(counter):
