@@ -216,7 +216,12 @@ def _make_root(calc, model, args):
 
 
 def _check_tape_len(spec, tape_len) -> None:
-    if spec.kind == "lba" and tape_len is not None and tape_len < 1:
+    """``--tape-len`` sizes the tape of an lba machine file (``spec``) and nothing else."""
+    if tape_len is None:
+        return
+    if spec is None or spec.kind != "lba":
+        raise CliUsage("--tape-len applies only to lba machine files")
+    if tape_len < 1:
         raise CliUsage("--tape-len must be at least 1")
 
 
@@ -260,6 +265,7 @@ def _cmd_accepts(args) -> int:
             spec, args.input, args.budget, tape_len=args.tape_len, node_cap=_node_cap(args)
         )
     else:
+        _check_tape_len(None, args.tape_len)
         loaded = model_from_json(data)
         if not isinstance(loaded, CalculatorModel):
             raise FormatError("acceptance needs a machine file or a compiled model")

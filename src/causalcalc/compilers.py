@@ -60,16 +60,8 @@ MAX_WHOLE_RANGE = 10**8
 
 
 def delta_f_image(spec: MachineSpec, state: str, symbol: str) -> tuple:
-    """Transition outputs with final states frozen into self-loops."""
-    if state in spec.finals:
-        return ((state, symbol, 0),)
-    return tuple((t.dst, t.write, t.move) for t in spec.delta.get((state, symbol), ()))
-
-
-def _head_triples(spec: MachineSpec) -> frozenset:
-    return frozenset(
-        (q, g, d) for q in spec.states for g in spec.tape_alphabet for d in (-1, 0, 1)
-    )
+    """δ_f's (state, written symbol, move) outputs, as the head triple holds them."""
+    return tuple((t.dst, t.write, t.move) for t in spec.delta_f(state, symbol))
 
 
 @dataclass
@@ -93,32 +85,32 @@ class CalculatorModel:
         return config.get(HEAD_ID)[0] in self.machine.finals
 
 
-class _MachineRule(RuleEquation):
-    """Shared identity plumbing for compiled equations."""
+class _Compiled:
+    """Identity of what a compile builds from a spec and a tape length ``n``
+    (None for unbounded tapes): equal when type, fingerprint and ``n`` are."""
 
-    builtin = ""
-
-    def __init__(self, spec: MachineSpec):
+    def __init__(self, spec: MachineSpec, tape_len: int | None = None):
         self.spec = spec
+        self.n = tape_len
 
     def _identity(self) -> tuple:
-        return (type(self), self.spec.fingerprint())
+        return (type(self), self.spec.fingerprint(), self.n)
 
     def __eq__(self, other):
-        return isinstance(other, _MachineRule) and self._identity() == other._identity()
+        return isinstance(other, _Compiled) and self._identity() == other._identity()
+
+    def __hash__(self):
+        return hash(self._identity())
+
+
+class _MachineRule(_Compiled, RuleEquation):
+    builtin = ""
 
 
 class LbaWindowRule(_MachineRule):
     """Def-style window equations over the bounded cell family."""
 
     builtin = "lba_window_step"
-
-    def __init__(self, spec: MachineSpec, tape_len: int):
-        super().__init__(spec)
-        self.n = tape_len
-
-    def _identity(self):
-        return (type(self), self.spec.fingerprint(), self.n)
 
     def domain_of(self, index: int | None) -> tuple[VarId, ...]:
         w = self.n + 1
@@ -152,10 +144,6 @@ class NtmWindowRule(LbaWindowRule):
     """Unbounded variant of the window equations; no wall cells (``n`` is None)."""
 
     builtin = "ntm_window_step"
-    _identity = _MachineRule._identity
-
-    def __init__(self, spec: MachineSpec):
-        super().__init__(spec, None)
 
     def domain_of(self, index: int | None) -> tuple[VarId, ...]:
         if index is None:
@@ -178,11 +166,8 @@ class TmStateRule(_MachineRule):
         return (STATE_ID, HEAD_ID)
 
     def outputs(self, index, view) -> frozenset:
-        state = view[STATE_ID]
-        if state in self.spec.finals:
-            return frozenset([state])
-        scanned = view[HEAD_ID]
-        entries = self.spec.delta.get((state, scanned), ())
+        state, scanned = view[STATE_ID], view[HEAD_ID]
+        entries = self.spec.delta_f(state, scanned)
         if not entries:
             raise StuckConfiguration(f"no move from ({state},{scanned})")
         return frozenset(t.dst for t in entries)
@@ -203,36 +188,20 @@ class TmCellRule(_MachineRule):
         return tuple(out)
 
     def outputs(self, index, view) -> frozenset:
-        state = view[STATE_ID]
-        if state in self.spec.finals:
-            return frozenset([view[VarId(CELL, index)]])
-        scanned = view[HEAD_ID]
-        entries = self.spec.delta.get((state, scanned), ())
+        state, scanned = view[STATE_ID], view[HEAD_ID]
+        entries = self.spec.delta_f(state, scanned)
         if not entries:
             raise StuckConfiguration(f"no move from ({state},{scanned})")
         t = entries[0]
         if index == -t.move:
             # the cell just written lands opposite the move after re-centering
+            # (a final state's loop writes the scanned cell back in place)
             return frozenset([t.write])
         return frozenset([view[VarId(CELL, index + t.move)]])
 
 
-class WholeConfigRange(LazyRange):
+class WholeConfigRange(_Compiled, LazyRange):
     """All (state, head, tape...) tuples for a fixed machine and tape length."""
-
-    def __init__(self, spec: MachineSpec, tape_len: int):
-        self.spec = spec
-        self.n = tape_len
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WholeConfigRange)
-            and self.spec.fingerprint() == other.spec.fingerprint()
-            and self.n == other.n
-        )
-
-    def __hash__(self):
-        return hash((self.spec.fingerprint(), self.n))
 
     def __contains__(self, value) -> bool:
         spec, n = self.spec, self.n
@@ -256,13 +225,6 @@ class WholeConfigRange(LazyRange):
 class WholeConfigRule(_MachineRule):
     builtin = "lba_whole_config_step"
 
-    def __init__(self, spec: MachineSpec, tape_len: int):
-        super().__init__(spec)
-        self.n = tape_len
-
-    def _identity(self):
-        return (type(self), self.spec.fingerprint(), self.n)
-
     def domain_of(self, index):
         if index is not None:
             raise ValueError(f"{WHOLE} is plain")
@@ -272,52 +234,53 @@ class WholeConfigRule(_MachineRule):
         value = view[WHOLE_ID]
         state, head, tape = value[0], value[1], list(value[2:])
         out = []
-        for q, g, d in delta_f_image(self.spec, state, tape[head]):
+        for t in self.spec.delta_f(state, tape[head]):
             nxt = list(tape)
-            nxt[head] = g
-            out.append((q, head + d, *nxt))
+            nxt[head] = t.write
+            out.append((t.dst, head + t.move, *nxt))
         return frozenset(out)
 
 
-def compile_lba(spec: MachineSpec, tape_len: int) -> CalculatorModel:
+def _check_compile(spec: MachineSpec, kind: str, tape_len: int | None = None) -> None:
+    """The spec is valid and of ``kind``; an lba compile has a tape of at least one cell."""
     require_valid(spec)
-    if spec.kind != "lba":
-        raise InvalidMachineKind(f"expected an lba spec, got {spec.kind}")
-    if tape_len < 1:
+    if spec.kind != kind:
+        article = "a" if kind == "tm" else "an"
+        raise InvalidMachineKind(f"expected {article} {kind} spec, got {spec.kind}")
+    if kind == "lba" and tape_len < 1:
         raise ValueError("tape_len must be at least 1")
-    w = tape_len + 1
+
+
+def _compile_window(spec: MachineSpec, kind: str, tape_len: int | None) -> CalculatorModel:
+    """The cell family ``X`` with head triples at 0, walled when ``tape_len`` is given."""
+    _check_compile(spec, kind, tape_len)
+    w = None if tape_len is None else tape_len + 1
+    triples = frozenset(
+        (q, g, d) for q in spec.states for g in spec.tape_alphabet for d in (-1, 0, 1)
+    )
     fam = Family(
         CELL,
-        lo=-w,
+        lo=None if w is None else -w,
         hi=w,
         values=frozenset(spec.tape_alphabet),
         default=spec.blank,
-        overrides={0: _head_triples(spec)},
+        overrides={0: triples},
     )
-    model = Model(Signature(families=[fam]), {CELL: LbaWindowRule(spec, tape_len)})
-    return CalculatorModel(model, "lba", spec, tape_len, spec.fingerprint())
+    rule = (LbaWindowRule if kind == "lba" else NtmWindowRule)(spec, tape_len)
+    model = Model(Signature(families=[fam]), {CELL: rule})
+    return CalculatorModel(model, kind, spec, tape_len, spec.fingerprint())
+
+
+def compile_lba(spec: MachineSpec, tape_len: int) -> CalculatorModel:
+    return _compile_window(spec, "lba", tape_len)
 
 
 def compile_ntm(spec: MachineSpec) -> CalculatorModel:
-    require_valid(spec)
-    if spec.kind != "ntm":
-        raise InvalidMachineKind(f"expected an ntm spec, got {spec.kind}")
-    fam = Family(
-        CELL,
-        lo=None,
-        hi=None,
-        values=frozenset(spec.tape_alphabet),
-        default=spec.blank,
-        overrides={0: _head_triples(spec)},
-    )
-    model = Model(Signature(families=[fam]), {CELL: NtmWindowRule(spec)})
-    return CalculatorModel(model, "ntm", spec, None, spec.fingerprint())
+    return _compile_window(spec, "ntm", None)
 
 
 def compile_tm(spec: MachineSpec) -> CalculatorModel:
-    require_valid(spec)
-    if spec.kind != "tm":
-        raise InvalidMachineKind(f"expected a tm spec, got {spec.kind}")
+    _check_compile(spec, "tm")
     state = PlainVar(STATE, frozenset(spec.states))
     fam = Family(
         CELL, lo=None, hi=None, values=frozenset(spec.tape_alphabet), default=spec.blank
@@ -328,11 +291,7 @@ def compile_tm(spec: MachineSpec) -> CalculatorModel:
 
 
 def compile_lba_monolithic(spec: MachineSpec, tape_len: int) -> CalculatorModel:
-    require_valid(spec)
-    if spec.kind != "lba":
-        raise InvalidMachineKind(f"expected an lba spec, got {spec.kind}")
-    if tape_len < 1:
-        raise ValueError("tape_len must be at least 1")
+    _check_compile(spec, "lba", tape_len)
     rng = WholeConfigRange(spec, tape_len)
     # every cell holds one of at least two symbols, so a tape longer than the
     # cap's bit length is too large without computing the (huge) size
@@ -364,22 +323,18 @@ def compile_machine(spec: MachineSpec, *, tape_len: int | None = None, monolithi
 
 def initial_calc_config(calc: CalculatorModel, input_str: str) -> Configuration:
     spec = calc.machine
-    if calc.kind == "lba":
-        m = initial_machine_config(spec, input_str, calc.tape_len)
-        assign = {HEAD_ID: (spec.initial, m.tape[0], 0)}
-        for i, g in enumerate(m.tape):
-            if i > 0:
-                assign[VarId(CELL, i)] = g
-        return calc.model.configuration(assign)
+    m = initial_machine_config(spec, input_str, calc.tape_len)
     if calc.kind == "lba_mono":
-        m = initial_machine_config(spec, input_str, calc.tape_len)
         return calc.model.configuration({WHOLE_ID: (m.state, m.head, *m.tape)})
     if calc.kind == "tm":
-        m = initial_machine_config(spec, input_str)
         return encode_tm_config(calc, m)
-    m = initial_machine_config(spec, input_str)
-    assign = {HEAD_ID: (spec.initial, m.cell(0, spec.blank), 0)}
-    for i, g in m.cells:
+    # window encodings: the head triple holds the scanned symbol and no move yet
+    if calc.kind == "lba":
+        scanned, cells = m.tape[m.head], enumerate(m.tape)
+    else:
+        scanned, cells = m.cell(0, spec.blank), m.cells
+    assign = {HEAD_ID: (spec.initial, scanned, 0)}
+    for i, g in cells:
         if i != 0:
             assign[VarId(CELL, i)] = g
     return calc.model.configuration(assign)
@@ -404,8 +359,8 @@ def decode_config(calc: CalculatorModel, config: Configuration, offset: int = 0,
     """
     spec = calc.machine
     if calc.kind == "tm":
-        cells = {v.index: val for v, val in config.support if v.name == CELL and val != spec.blank}
-        return TapeConfig(config.get(STATE_ID), tuple(sorted(cells.items())))
+        cells = {v.index: val for v, val in config.support if v.name == CELL}
+        return TapeConfig.from_cells(config.get(STATE_ID), cells, spec.blank)
 
     if calc.kind == "lba_mono":
         value = config.get(WHOLE_ID)
@@ -429,7 +384,7 @@ def decode_config(calc: CalculatorModel, config: Configuration, offset: int = 0,
     shift = last_move or 0
     cells = {v.index - shift: val for v, val in config.support if v.name == CELL and v.index != 0}
     cells[-shift] = written
-    return TapeConfig(state, tuple(sorted((k, g) for k, g in cells.items() if g != spec.blank)))
+    return TapeConfig.from_cells(state, cells, spec.blank)
 
 
 def edge_label(calc: CalculatorModel, parent: Configuration, child: Configuration) -> int:
@@ -438,11 +393,7 @@ def edge_label(calc: CalculatorModel, parent: Configuration, child: Configuratio
         return child.get(HEAD_ID)[2]
     if calc.kind == "lba_mono":
         return child.get(WHOLE_ID)[1] - parent.get(WHOLE_ID)[1]
-    state = parent.get(STATE_ID)
-    if state in calc.machine.finals:
-        return 0
-    scanned = parent.get(HEAD_ID)
-    return calc.machine.delta[(state, scanned)][0].move
+    return calc.machine.delta_f(parent.get(STATE_ID), parent.get(HEAD_ID))[0].move
 
 
 def calc_labeler(calc: CalculatorModel):

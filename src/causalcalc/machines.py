@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .core import DEFAULT_NODE_CAP, ComputationTree, Defect, reach_layers
 from .errors import (
@@ -73,6 +74,21 @@ class MachineSpec:
             k: tuple(sorted(v, key=lambda t: (t.dst, t.write, t.move)))
             for k, v in table.items()
         }
+
+    @cached_property
+    def _delta_f(self) -> dict:
+        loops = {
+            (q, g): (Transition(q, g, q, g, 0),) for q in self.finals for g in self.tape_alphabet
+        }
+        return {**self.delta, **loops}
+
+    def delta_f(self, state: str, symbol: str) -> tuple:
+        """The transitions taken from (state, symbol): δ, except that a final
+        state takes only the self-loop that writes the scanned symbol back."""
+        taken = self._delta_f.get((state, symbol))
+        if taken is None and state in self.finals:  # a symbol off the tape alphabet
+            return (Transition(state, symbol, state, symbol, 0),)
+        return taken or ()
 
     def fingerprint(self) -> str:
         return self._fingerprint
@@ -187,8 +203,7 @@ def require_valid(spec: MachineSpec) -> MachineSpec:
     return spec
 
 
-@dataclass(frozen=True, order=True)
-class LbaConfig:
+class LbaConfig(NamedTuple):
     """Absolute-position configuration; tape includes both markers."""
 
     state: str
@@ -196,23 +211,22 @@ class LbaConfig:
     tape: tuple[str, ...]
 
 
-@dataclass(frozen=True, order=True)
-class TapeConfig:
+class TapeConfig(NamedTuple):
     """Head-relative configuration: the scanned cell is index 0."""
 
     state: str
     cells: tuple[tuple[int, str], ...]  # sorted by index, blanks dropped
+
+    @classmethod
+    def from_cells(cls, state: str, cells: dict[int, str], blank: str) -> TapeConfig:
+        """The configuration with these {index: symbol} cells, blanks dropped."""
+        return cls(state, tuple(sorted((i, s) for i, s in cells.items() if s != blank)))
 
     def cell(self, index: int, blank: str) -> str:
         for i, sym in self.cells:
             if i == index:
                 return sym
         return blank
-
-
-def _make_tape_config(state: str, cells: dict[int, str], blank: str) -> TapeConfig:
-    kept = tuple(sorted((i, s) for i, s in cells.items() if s != blank))
-    return TapeConfig(state, kept)
 
 
 def initial_machine_config(spec: MachineSpec, input_str: str, tape_len: int | None = None):
@@ -238,11 +252,11 @@ def initial_machine_config(spec: MachineSpec, input_str: str, tape_len: int | No
         )
         return LbaConfig(spec.initial, 0, tape)
     cells = {i: s for i, s in enumerate(symbols)}
-    return _make_tape_config(spec.initial, cells, spec.blank)
+    return TapeConfig.from_cells(spec.initial, cells, spec.blank)
 
 
 def machine_step(spec: MachineSpec, config) -> tuple:
-    """Successors as (config, transition, direction) triples.
+    """Successors as (config, transition, direction) triples, one per δ_f move.
 
     Final states self-loop with direction 0. A stuck non-final configuration
     yields the empty tuple for the relational kinds and raises for ``tm``,
@@ -253,12 +267,8 @@ def machine_step(spec: MachineSpec, config) -> tuple:
             raise MalformedConfig(f"lba step on {type(config).__name__}")
         if not (0 <= config.head < len(config.tape)):
             raise MalformedConfig(f"head {config.head} off the tape")
-        scanned = config.tape[config.head]
-        if config.state in spec.finals:
-            loop = Transition(config.state, scanned, config.state, scanned, 0)
-            return ((config, loop, 0),)
         out = []
-        for t in spec.delta.get((config.state, scanned), ()):
+        for t in spec.delta_f(config.state, config.tape[config.head]):
             tape = list(config.tape)
             tape[config.head] = t.write
             out.append((LbaConfig(t.dst, config.head + t.move, tuple(tape)), t, t.move))
@@ -267,10 +277,7 @@ def machine_step(spec: MachineSpec, config) -> tuple:
     if not isinstance(config, TapeConfig):
         raise MalformedConfig(f"{spec.kind} step on {type(config).__name__}")
     scanned = config.cell(0, spec.blank)
-    if config.state in spec.finals:
-        loop = Transition(config.state, scanned, config.state, scanned, 0)
-        return ((config, loop, 0),)
-    entries = spec.delta.get((config.state, scanned), ())
+    entries = spec.delta_f(config.state, scanned)
     if not entries and spec.kind == "tm":
         raise StuckConfiguration(f"tm has no move from ({config.state},{scanned})")
     out = []
@@ -278,7 +285,7 @@ def machine_step(spec: MachineSpec, config) -> tuple:
         cells = dict(config.cells)
         cells[0] = t.write
         shifted = {i - t.move: s for i, s in cells.items()}
-        out.append((_make_tape_config(t.dst, shifted, spec.blank), t, t.move))
+        out.append((TapeConfig.from_cells(t.dst, shifted, spec.blank), t, t.move))
     return tuple(out)
 
 

@@ -285,6 +285,25 @@ def test_accepts_lba_machine_rejects_tape_len_below_one(capsys, parity_file, tap
     assert "usage error: --tape-len must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["accepts", "PARITY_MODEL", "--input", "1111", "--budget", "30", "--tape-len", "4"],
+        ["accepts", "PARITY_MODEL", "--input", "11", "--budget", "30", "--tape-len", "-3"],
+        ["accepts", "TM", "--input", "01", "--budget", "30", "--tape-len", "0"],
+        ["accepts", "TM", "--input", "01", "--budget", "30", "--tape-len", "3"],
+        ["compile", "TM", "--tape-len", "-1"],
+        ["compile", "TM", "--tape-len", "2"],
+    ],
+)
+def test_tape_len_is_only_for_lba_machine_files(capsys, parity_model_file, tm_file, argv):
+    files = {"PARITY_MODEL": parity_model_file, "TM": tm_file}
+    assert main([files.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --tape-len applies only to lba machine files\n"
+
+
 def test_accepts_rejects_plain_models(capsys, counter_file):
     assert main(["accepts", counter_file, "--input", "1", "--budget", "5"]) == 1
     assert "compiled" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from causalcalc import (
     NO_ACCEPT_WITHIN_BUDGET,
     LbaConfig,
     TapeConfig,
+    Transition,
     VarId,
     calc_accepts,
     calc_labeler,
@@ -18,6 +19,7 @@ from causalcalc import (
     encode_tm_config,
     expand_tree,
     initial_machine_config,
+    machine_step,
     machine_tree,
     run_machine,
     successors,
@@ -177,6 +179,55 @@ def test_accepting_configurations_self_loop(parity_spec):
     assert verdict == ACCEPT
     final = next(n for n in tree.nodes if calc.accepting(n))
     assert successors(calc.model, final) == (final,)
+
+
+def _final_configs(spec):
+    """A configuration of each final state over each tape symbol, that symbol scanned."""
+    for q in sorted(spec.finals):
+        for g in spec.tape_alphabet:
+            if spec.kind != "lba":
+                yield g, TapeConfig.from_cells(q, {-1: "1", 0: g, 1: "0"}, spec.blank)
+            elif g in (spec.left_marker, spec.right_marker):
+                yield g, LbaConfig(q, 0 if g == spec.left_marker else 3, (">", "0", "1", "<"))
+            else:
+                yield g, LbaConfig(q, 1, (">", g, "1", "<"))
+
+
+def _encode(calc, m):
+    """``m`` as a node of ``calc`` whose frame sits on the head, no move recorded."""
+    if calc.kind == "tm":
+        return encode_tm_config(calc, m)
+    if calc.kind == "lba_mono":
+        return calc.model.configuration({V: (m.state, m.head, *m.tape)})
+    if calc.kind == "lba":
+        cells = {i - m.head: g for i, g in enumerate(m.tape)}
+    else:
+        cells = dict(m.cells)
+    assign = {X(0): (m.state, cells.pop(0, calc.machine.blank), 0)}
+    assign.update((X(i), g) for i, g in cells.items())
+    return calc.model.configuration(assign)
+
+
+@pytest.mark.parametrize("name", ["parity_spec", "tm_spec", "ntm_spec"])
+def test_final_states_freeze_on_every_route(request, name):
+    spec = request.getfixturevalue(name)
+    if spec.kind == "lba":
+        calcs = [compile_lba(spec, 2), compile_lba_monolithic(spec, 2)]
+    else:
+        calcs = [compile_machine(spec)]
+    seen = 0
+    for g, m in _final_configs(spec):
+        assert spec.delta_f(m.state, g) == (Transition(m.state, g, m.state, g, 0),)
+        ((nxt, t, d),) = machine_step(spec, m)
+        assert (nxt, t.move, d) == (m, 0, 0)
+        for calc in calcs:
+            node = _encode(calc, m)
+            head = m.head if spec.kind == "lba" else 0
+            assert decode_config(calc, node, offset=head, last_move=0) == m
+            assert successors(calc.model, node) == (node,), (calc.kind, g)
+            assert edge_label(calc, node, node) == 0
+        seen += 1
+    assert seen == len(spec.finals) * len(spec.tape_alphabet)
 
 
 def test_calc_side_verdicts_match_the_machine(parity_spec, ntm_spec):

@@ -114,6 +114,10 @@ def test_single_corrupted_row_breaks_equivalence(parity_spec):
     assert not report.equivalent
     assert report.counterexample.kind == "successor_mismatch"
     assert report.counterexample.path_text() == "<root>"
+    assert report.counterexample.detail == (
+        "machine-only children [\"(1, LbaConfig(state='even', head=1, tape=('>', '1', '#', '<')))\"]; "
+        "calculator-only [\"(1, LbaConfig(state='odd', head=1, tape=('1', '1', '#', '<')))\"]"
+    )
 
     pristine = check_equivalence(parity_spec, calc, "1", 3)
     assert pristine.equivalent
@@ -130,6 +134,11 @@ def test_tm_mutant_is_reported_at_the_parent_pair(tm_spec):
     assert report.counterexample.kind == "successor_mismatch"
     assert report.counterexample.path == (1,)
     assert report.counterexample.machine_config.state == "e1"
+    cells = "cells=((-2, '0'), (-1, '1'), (0, '0'), (1, '1'))"
+    assert report.counterexample.detail == (
+        f"machine-only children [\"(1, TapeConfig(state='e0', {cells}))\"]; "
+        f"calculator-only [\"(1, TapeConfig(state='ra', {cells}))\"]"
+    )
     assert report.machine_nodes == report.calc_nodes == [1, 1]
 
 
