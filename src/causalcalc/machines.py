@@ -75,20 +75,12 @@ class MachineSpec:
             for k, v in table.items()
         }
 
-    @cached_property
-    def _delta_f(self) -> dict:
-        loops = {
-            (q, g): (Transition(q, g, q, g, 0),) for q in self.finals for g in self.tape_alphabet
-        }
-        return {**self.delta, **loops}
-
     def delta_f(self, state: str, symbol: str) -> tuple:
         """The transitions taken from (state, symbol): δ, except that a final
         state takes only the self-loop that writes the scanned symbol back."""
-        taken = self._delta_f.get((state, symbol))
-        if taken is None and state in self.finals:  # a symbol off the tape alphabet
+        if state in self.finals:
             return (Transition(state, symbol, state, symbol, 0),)
-        return taken or ()
+        return self.delta.get((state, symbol), ())
 
     def fingerprint(self) -> str:
         return self._fingerprint
