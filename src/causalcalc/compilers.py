@@ -111,6 +111,7 @@ class LbaWindowRule(_MachineRule):
     """Def-style window equations over the bounded cell family."""
 
     builtin = "lba_window_step"
+    mortal_members = (0,)  # δ_f can be empty at the head triple; cells only shift
 
     def domain_of(self, index: int | None) -> tuple[VarId, ...]:
         w = self.n + 1
@@ -159,6 +160,7 @@ class NtmWindowRule(LbaWindowRule):
 
 class TmStateRule(_MachineRule):
     builtin = "tm_state_step"
+    mortal_members = ()  # δ is total on a valid tm spec and final states loop
 
     def domain_of(self, index):
         if index is not None:
@@ -177,6 +179,7 @@ class TmCellRule(_MachineRule):
     """Head-relative cell shift; the machine frame re-centers every step."""
 
     builtin = "tm_cell_step"
+    mortal_members = ()
 
     def domain_of(self, index: int | None) -> tuple[VarId, ...]:
         if index is None:

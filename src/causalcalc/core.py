@@ -287,6 +287,12 @@ class TableEquation:
     def __eq__(self, other):
         return isinstance(other, TableEquation) and self.rows == other.rows
 
+    def mortal(self, model: "Model", name: str) -> tuple:
+        """``(None,)`` if a row over the domain is missing, empty or out of range."""
+        sig, var = model.signature, VarId(name)
+        rows = map(self.rows.get, itertools.product(*map(sig.range_of, model.domain_of(var))))
+        return () if all(out and out <= sig.range_of(var) for out in rows) else (None,)
+
 
 class RuleEquation:
     """A computed equation; used for compiled models and row surgery.
@@ -294,6 +300,12 @@ class RuleEquation:
     Subclasses provide the domain per member index (None for plain targets)
     and the output set for a restriction of the previous configuration.
     """
+
+    # member indices (None: plain) whose output can be empty or raise; None: any
+    mortal_members: tuple | None = None
+
+    def mortal(self, model: "Model", name: str) -> tuple | None:
+        return self.mortal_members
 
     def domain_of(self, index: int | None) -> tuple[VarId, ...]:
         raise NotImplementedError
@@ -619,6 +631,7 @@ def memo_successors(model: Model, labeler: Labeler | None = None) -> SuccessorFn
             )
         return kids
 
+    children.model = model  # for domain lookups that share the memo's cache
     return children
 
 

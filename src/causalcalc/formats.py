@@ -14,6 +14,7 @@ domain row: ``VAR@STEP(VAR=VALUE,...)=VALUE``. Tuple values use parentheses,
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import re
@@ -672,9 +673,27 @@ def parse_variable_patterns(model: Model, universe: Iterable[VarId], text: str) 
     return [out[k] for k in sorted(out)]
 
 
-def parse_steps(text: str) -> list[int]:
+class Steps:
+    """Sorted disjoint step ranges; iterates over their steps, equals their list."""
+
+    def __init__(self, runs: Iterable[range]):
+        self.runs = []
+        for run in sorted(runs, key=lambda r: r.start):
+            if self.runs and run.start <= self.runs[-1].stop:  # overlapping or adjacent
+                self.runs[-1] = range(self.runs[-1].start, max(self.runs[-1].stop, run.stop))
+            else:
+                self.runs.append(run)
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.runs)
+
+    def __eq__(self, other):
+        return isinstance(other, (list, Steps)) and list(self) == list(other)
+
+
+def parse_steps(text: str) -> Steps:
     """Step selections: ``3``, ``0..6``, or comma combinations."""
-    out = set()
+    out = []
     for part, off in split_top(text, ","):
         token = part.strip()
         if ".." in token:
@@ -685,7 +704,7 @@ def parse_steps(text: str) -> list[int]:
                 raise InterventionSyntax("step ranges are LO..HI", position=off) from None
             if lo < 0 or hi < lo:
                 raise InterventionSyntax("bad step range", position=off)
-            out.update(range(lo, hi + 1))
+            out.append(range(lo, hi + 1))
         else:
             try:
                 step = int(token)
@@ -693,5 +712,5 @@ def parse_steps(text: str) -> list[int]:
                 raise InterventionSyntax("steps are non-negative integers", position=off) from None
             if step < 0:
                 raise InterventionSyntax("steps are non-negative integers", position=off)
-            out.add(step)
-    return sorted(out)
+            out.append(range(step, step + 1))
+    return Steps(out)

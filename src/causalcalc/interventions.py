@@ -11,6 +11,7 @@ rewrite targets the same row.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -328,12 +329,35 @@ class SweepReport:
         return out
 
 
+def _cone(model: Model, outcome: Sequence[TimedAssignment], horizon: int):
+    """Per step 0..horizon, the variables whose value there can change the verdict
+    (a pin elsewhere cannot: do-calculus rule 3); None when an unbounded family
+    cannot list its members that can die."""
+    sig, mortal = model.signature, []
+    for name in [p.name for p in sig.plain] + [f.name for f in sig.families]:
+        eq, fam = model.equations.get(name), sig.family(name)
+        members = None if eq is None else eq.mortal(model, name)
+        if members is None:
+            if fam is not None and not fam.bounded:
+                return None
+            members = (None,) if fam is None else range(fam.lo, fam.hi + 1)
+        mortal.extend(VarId(name, i) for i in members)
+    cone = [set() for _ in range(horizon + 1)]
+    for var, step, _ in outcome:
+        cone[step].add(var)
+    for step in range(horizon, 0, -1):
+        cone[step].update(mortal)  # a pin skips its equation: it can rescue a dying branch
+        for var in cone[step]:
+            cone[step - 1].update(model.domain_of(var))
+    return cone
+
+
 def sweep(
     model: Model,
     root: Configuration,
     *,
     variables: Sequence[VarId],
-    steps: Sequence[int],
+    steps: Iterable[int],
     outcome: Sequence[TimedAssignment],
     mode: str = "some",
     k_faults: int = 1,
@@ -343,11 +367,12 @@ def sweep(
 
     Each row pins ``k_faults`` cells to alternative values and reports whether
     the outcome predicate still holds; a row is critical when the verdict
-    differs from the unintervened baseline. On budget exhaustion the report is
-    returned truncated with the rows finished so far. Rows share one
-    successor memo, so a row pinned at step k reuses the baseline's first k
-    steps.
-    """
+    differs from the unintervened baseline. Pins outside the outcome's
+    backward cone (``_cone``) or after its last step cannot change the verdict,
+    so a row takes the verdict of its other pins, computed once per set of
+    pins through one successor memo. When that tree and the row's own both
+    outgrow the node cap, the report is returned truncated with the rows
+    finished so far."""
     if k_faults not in (1, 2):
         raise ValueError("k_faults must be 1 or 2")
     if not variables:
@@ -355,15 +380,24 @@ def sweep(
     for var in variables:
         if not model.signature.is_declared(var):
             raise UnknownVariable(var.render())
+    if not outcome:
+        raise ValueError("sweep outcome must be non-empty")
+    for atom in itertools.starmap(Atom, outcome):
+        InterventionSpec([atom])  # rejects a negative step
+        _check_atom(model, atom)
+    if not all(a < b for a, b in zip(steps, itertools.islice(steps, 1, None))):
+        steps = sorted(set(steps))  # ascending steps (a range, formats.Steps) are read in place
     succ = memo_successors(model)
     horizon = max(s for _, s, _ in outcome)
     baseline = reach_layers(succ, root, horizon, node_cap=node_cap).holds(outcome, mode)
 
     cells = [
         (var, step)
-        for var in sorted(variables, key=lambda v: v.key)
-        for step in sorted(steps)
+        for var in sorted(set(variables), key=lambda v: v.key)
+        for step in steps
     ]
+    cone = _cone(succ.model, outcome, horizon)
+    live = {(v, s) for v, s in cells if cone is None or s < 0 or s <= horizon and v in cone[s]}
     singles = [
         Atom(var, step, value)
         for var, step in cells
@@ -378,16 +412,22 @@ def sweep(
             if (a.var, a.step) != (b.var, b.step)
         ]
 
+    verdicts = {(): baseline}
     rows: list[SweepRow] = []
     truncated = False
     for atoms in combos:
-        depth = max(horizon, max(a.step for a in atoms))
-        try:
-            tree = _pinned_tree(model, succ, root, InterventionSpec(atoms), depth, node_cap)
-        except BudgetExceeded:
+        key = tuple(a for a in atoms if (a.var, a.step) in live)
+        verdict = verdicts.get(key)
+        # if the remaining pins' tree outgrows the node cap, the row's own may not
+        for pins in dict.fromkeys((key, atoms)) if verdict is None else ():
+            depth = max([horizon] + [a.step for a in pins])
+            with contextlib.suppress(BudgetExceeded):
+                tree = _pinned_tree(model, succ, root, InterventionSpec(pins), depth, node_cap)
+                verdict = verdicts[pins] = tree.holds(outcome, mode)
+                break
+        if verdict is None:
             truncated = True
             break
-        verdict = tree.holds(outcome, mode)
         rows.append(
             SweepRow(
                 atoms=tuple(atoms),

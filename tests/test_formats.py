@@ -1,4 +1,8 @@
+import itertools
 import json
+import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -332,3 +336,26 @@ def test_step_selection():
     for bad in ("5..2", "x", "-1", "0..x"):
         with pytest.raises(InterventionSyntax):
             parse_steps(bad)
+
+
+def test_step_selection_is_held_as_ranges():
+    rng = random.Random(3)
+    for _ in range(300):
+        parts, want = [], set()
+        for _ in range(rng.randint(1, 4)):
+            lo = rng.randint(0, 12)
+            hi = lo + rng.randint(0, 5)
+            parts.append(f"{lo}..{hi}" if rng.random() < 0.6 else str(lo))
+            want.update(range(lo, hi + 1) if ".." in parts[-1] else [lo])
+        got = parse_steps(",".join(parts))
+        assert list(got) == sorted(want) and got == sorted(want)
+        assert all(a.stop < b.start for a, b in zip(got.runs, got.runs[1:]))
+    started = time.perf_counter()
+    parse_steps("0..999999")
+    assert time.perf_counter() - started < 0.01
+    tracemalloc.start()
+    try:
+        assert list(itertools.islice(parse_steps("7,0..99999999"), 3)) == [0, 1, 2]
+        assert tracemalloc.get_traced_memory()[1] < 10**6
+    finally:
+        tracemalloc.stop()

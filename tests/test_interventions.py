@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import io
+import random
 
 import pytest
 
@@ -25,8 +26,9 @@ from causalcalc import (
 )
 from causalcalc import core
 from causalcalc.cli import main
-from causalcalc.compilers import TmCellRule, TmStateRule, compile_tm
+from causalcalc.compilers import TmCellRule, TmStateRule, compile_lba, compile_ntm, compile_tm
 from causalcalc.errors import (
+    BudgetExceeded,
     DuplicateAtom,
     OutOfRangeValue,
     RowDomainMismatch,
@@ -34,6 +36,10 @@ from causalcalc.errors import (
     UnknownVariable,
 )
 from causalcalc.formats import dumps_canonical, model_to_json
+from causalcalc.interventions import _cone
+
+import oracle_sweep
+from test_layers import random_model
 
 X = VarId("X")
 
@@ -383,6 +389,59 @@ def test_holds_at_all_mode_drives_sweep_baselines(counter):
     assert by_render["X@0=0"] == "critical"
 
 
+def test_sweep_rejects_outcomes_that_is_cause_rejects(counter, two_var):
+    root = counter.configuration({X: 8})
+    with pytest.raises(StepBeyondDepth):
+        sweep(counter, root, variables=[X], steps=[0], outcome=[(X, -1, 2)])
+    with pytest.raises(OutOfRangeValue):
+        sweep(counter, root, variables=[X], steps=[0], outcome=[(X, 1, 10)])
+    with pytest.raises(UnknownVariable):
+        sweep(counter, root, variables=[X], steps=[0], outcome=[(VarId("Z"), 1, 0)])
+    with pytest.raises(ValueError, match="outcome must be non-empty"):
+        sweep(counter, root, variables=[X], steps=[0], outcome=[])
+    with pytest.raises(StepBeyondDepth):
+        sweep(counter, root, variables=[X], steps=[1, -1], outcome=[(X, 1, 9)])
+    # B is outside the cone of A@0, but a negative step is still refused
+    root = two_var.configuration({VarId("A"): 0, VarId("B"): 0})
+    with pytest.raises(StepBeyondDepth):
+        sweep(two_var, root, variables=[VarId("B")], steps=[-1], outcome=[(VarId("A"), 0, 0)])
+
+
+def test_sweep_builds_each_cell_once(two_var):
+    root = two_var.configuration({VarId("A"): 0, VarId("B"): 0})
+    outcome = [(VarId("A"), 2, 1)]
+    for k in (1, 2):
+        once = sweep(two_var, root, variables=[VarId("B"), VarId("A")], steps=[1, 0],
+                     outcome=outcome, k_faults=k)
+        twice = sweep(two_var, root, variables=[VarId("A"), VarId("B"), VarId("B")],
+                      steps=[0, 1, 0, 1], outcome=outcome, k_faults=k)
+        assert twice == once
+        assert len(once.rows) == (8 if k == 1 else 24)
+    model = Model(
+        Signature(plain=[PlainVar("X", frozenset({0, 1, 2}))], domains={"X": (X,)}),
+        {"X": TableEquation({(0,): {0}, (1,): {1}, (2,): {2}})},
+    )
+    root = model.configuration({X: 0})
+    assert len(sweep(model, root, variables=[X, X], steps=[0, 0], outcome=[(X, 1, 0)]).rows) == 3
+    assert sweep(model, root, variables=[X, X], steps=[0, 0], outcome=[(X, 1, 0)],
+                 k_faults=2).rows == []
+
+
+def test_rows_pinned_past_the_outcome_build_no_tree(counter):
+    """Pins after the outcome's last step cannot change the verdict, so those
+    rows take the baseline's and cannot exhaust the node budget."""
+    root = counter.configuration({X: 8})
+    outcome = [(X, 2, 9)]
+    report = sweep(counter, root, variables=[X], steps=range(60), outcome=outcome,
+                   node_cap=40)
+    assert not report.truncated and len(report.rows) == 600
+    assert report.rows[:30] == sweep(counter, root, variables=[X], steps=[0, 1, 2],
+                                     outcome=outcome).rows
+    assert all(r.outcome_holds == report.baseline_holds for r in report.rows[30:])
+    assert oracle_sweep.sweep(counter, root, variables=[X], steps=range(60),
+                              outcome=outcome, node_cap=40).truncated
+
+
 # ---------------------------------------------------------- work counts
 
 
@@ -420,3 +479,169 @@ def test_tm_two_fault_sweep_computes_each_domain_and_choice_set_once(
     assert len(rows) == 594
     assert domains and max(domains.values()) == 1
     assert choices and max(choices.values()) == 1
+
+
+# ------------------------------------------------ cone pruning against the oracle
+
+
+
+def dying_outside_the_cone():
+    """O keeps its value; D dies while E is 1 and E keeps its value.
+
+    Neither D nor E is an ancestor of O, but a pin on D rescues the branch
+    at its step, and a pin on E (D's parent) keeps D alive.
+    """
+    O, D, E = VarId("O"), VarId("D"), VarId("E")
+    sig = Signature(
+        plain=[PlainVar(n, frozenset({0, 1})) for n in "ODE"],
+        domains={"O": (O,), "D": (E,), "E": (E,)},
+    )
+    model = Model(sig, {
+        "O": TableEquation({(0,): {0}, (1,): {1}}),
+        "D": TableEquation({(0,): {0}, (1,): set()}),
+        "E": TableEquation({(0,): {0}, (1,): {1}}),
+    })
+    return model, model.configuration({O: 0, D: 0, E: 1})
+
+
+def test_pins_that_rescue_a_dying_branch_stay_in_the_cone():
+    model, root = dying_outside_the_cone()
+    args = dict(variables=[VarId(n) for n in "ODE"], steps=[0, 1],
+                outcome=[(VarId("O"), 1, 0)])
+    for mode in ("some", "all"):
+        report = sweep(model, root, mode=mode, **args)
+        assert report == oracle_sweep.sweep(model, root, mode=mode, **args)
+        assert not report.baseline_holds
+        critical = {r.atoms[0].render() for r in report.rows if r.classification == "critical"}
+        assert critical == {"D@1=0", "D@1=1", "E@0=0"}
+        assert report.by_var() == {"O": "inert", "D": "critical", "E": "critical"}
+
+
+def _check_against_oracle(model, root, **args):
+    try:
+        want = oracle_sweep.sweep(model, root, **args)
+    except BudgetExceeded as exc:  # the baseline's own tree outgrows the cap
+        with pytest.raises(BudgetExceeded) as err:
+            sweep(model, root, **args)
+        assert str(err.value) == str(exc)
+        return None
+    got = sweep(model, root, **args)
+    if not want.truncated:
+        assert got == want
+        return got
+    # rows the cone prunes build no tree: the pruned sweep may finish rows
+    # the oracle cuts off, and those rows are the uncapped oracle's
+    full = oracle_sweep.sweep(model, root, **dict(args, node_cap=10**9))
+    assert got.baseline_holds == want.baseline_holds
+    assert got.rows[: len(want.rows)] == want.rows
+    assert got.rows == full.rows[: len(got.rows)]
+    assert got.truncated == (len(got.rows) < len(full.rows))
+    return got
+
+
+def test_a_row_whose_live_pins_outgrow_the_cap_tries_its_own_tree():
+    """A branches only while O is 1 and A was 1; A is not an ancestor of O.
+
+    O@0=1 alone outgrows the cap, but A@0=0 with it does not: that row is
+    finished, as one tree per row finishes it, before O@0=1 with A@0=1 cuts
+    the sweep.
+    """
+    O, A = VarId("O"), VarId("A")
+    sig = Signature(plain=[PlainVar(n, frozenset({0, 1})) for n in "OA"],
+                    domains={"O": (O,), "A": (O, A)})
+    model = Model(sig, {
+        "O": TableEquation({(0,): {0}, (1,): {1}}),
+        "A": TableEquation({(o, a): {0, 1} if o == a == 1 else {0}
+                            for o in (0, 1) for a in (0, 1)}),
+    })
+    root = model.configuration({O: 0, A: 1})
+    report = _check_against_oracle(model, root, variables=[O, A], steps=[0, 1],
+                                   outcome=[(O, 2, 0)], k_faults=2, node_cap=5)
+    assert report.truncated
+    assert [r.atoms for r in report.rows][3] == (Atom(A, 0, 0), Atom(O, 0, 1))
+
+
+def test_sweep_matches_the_oracle_on_random_table_models():
+    rng = random.Random(20261020)
+    pruned = in_horizon = rows = capped = 0
+    for _ in range(300):
+        model, root, ranges = random_model(rng)
+        horizon = rng.randint(0, 3)
+        names = sorted(ranges)
+        outcome = [  # one atom at the horizon, sometimes another one earlier
+            (VarId(name), step, rng.choice(ranges[name]))
+            for step in sorted({horizon, rng.randint(0, horizon)})
+            for name in [rng.choice(names)]
+        ]
+        args = dict(
+            variables=[VarId(n) for n in rng.sample(names, rng.randint(1, len(names)))],
+            steps=rng.sample(range(horizon + 3), rng.randint(1, 3)),
+            outcome=outcome,
+            mode=rng.choice(["some", "all"]),
+            k_faults=rng.choice([1, 2]),
+        )
+        if rng.random() < 0.3:
+            args["node_cap"] = rng.randint(1, 40)
+            capped += 1
+        report = _check_against_oracle(model, root, **args)
+        if report is None:
+            continue
+        rows += len(report.rows)
+        cone = _cone(model, outcome, horizon)
+        for row in report.rows:
+            pruned += any(a.step > horizon or a.var not in cone[a.step] for a in row.atoms)
+            in_horizon += any(a.step <= horizon and a.var not in cone[a.step] for a in row.atoms)
+    assert rows > 3000 and pruned > 500 and in_horizon > 100 and capped > 50
+
+
+def test_sweep_matches_the_oracle_on_the_compiled_tm(tm_spec):
+    calc = compile_tm(tm_spec)
+    root = calc.initial("0101")
+    far = [VarId("X", i) for i in range(-8, 13)]
+    for outcome in ([(VarId("S"), 3, "e1")], [(VarId("S"), 4, "e0"), (VarId("X", 1), 2, "1")]):
+        for mode in ("some", "all"):
+            _check_against_oracle(calc.model, root, variables=far + [VarId("S")],
+                                  steps=range(3), outcome=outcome, mode=mode)
+        _check_against_oracle(calc.model, root, variables=far[6:12], steps=range(3),
+                              outcome=outcome, k_faults=2)
+
+
+def test_sweep_matches_the_oracle_where_the_head_triple_can_die(parity_spec, ntm_spec):
+    rng = random.Random(5)
+    for calc, word in ((compile_lba(parity_spec, 3), "101"), (compile_ntm(ntm_spec), "1101")):
+        root = calc.initial(word)
+        cells = core.active_variables(calc.model, root)
+        for _ in range(6):
+            horizon = rng.randint(1, 3)
+            layers = core.reach_layers(core.memo_successors(calc.model), root, horizon)
+            reached = rng.choice(list(layers.counts[-1])) if len(layers.counts) > horizon else root
+            var = rng.choice([VarId("X", 0), rng.choice(cells)])
+            outcome = [(var, horizon, reached.get(var))]
+            for k in (1, 2):
+                _check_against_oracle(
+                    calc.model, root, variables=rng.sample(cells, 4 - k),
+                    steps=range(horizon + 3 - k), outcome=outcome,
+                    mode=rng.choice(["some", "all"]), k_faults=k,
+                )
+
+
+def test_tm_two_fault_sweep_builds_one_tree_per_set_of_live_pins(tmp_path, monkeypatch, tm_spec):
+    """On the benchmark's two-fault sweep, X_5@0, X_4@1 and X_5@1 lie outside
+    the cone of S@5: 324 rows keep both pins, 27 keep one, 243 keep none."""
+    from causalcalc import interventions
+
+    path = tmp_path / "tm.json"
+    path.write_text(dumps_canonical(model_to_json(compile_tm(tm_spec))))
+    trees = []
+    original = interventions.reach_layers
+
+    def spy(succ, root, depth, **kw):
+        trees.append(depth)
+        return original(succ, root, depth, **kw)
+
+    monkeypatch.setattr(interventions, "reach_layers", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["sweep", str(path), "--input", "0101", "--vars", "X_0..X_5", "--steps",
+                     "0..1", "--outcome", "S@5=acc", "--k", "2"])
+    assert code == 0
+    assert len(trees) == 1 + 351
