@@ -549,18 +549,9 @@ def _parse_one_atom(model: Model, text: str, offset: int):
     while j < len(text) and text[j].isspace():
         j += 1
     if j < len(text) and text[j] == "(":
-        depth = 0
-        close = None
-        for k in range(j, len(text)):
-            if text[k] == "(":
-                depth += 1
-            elif text[k] == ")":
-                depth -= 1
-                if depth == 0:
-                    close = k
-                    break
-        if close is None:
-            raise InterventionSyntax("unbalanced '(' in row", position=offset + j)
+        # split_top hands over balanced parts, so the row's ')' is where the depth is back to 0
+        depths = itertools.accumulate((ch == "(") - (ch == ")") for ch in text[j:])
+        close = j + next(k for k, depth in enumerate(depths) if depth == 0)
         row = _parse_row(model, text[j + 1 : close], offset + j + 1)
         rest = text[close + 1 :].strip()
         if not rest.startswith("="):
@@ -585,35 +576,31 @@ def _parse_row(model: Model, text: str, offset: int) -> tuple:
     return tuple(entries)
 
 
-def parse_atoms(model: Model, text: str) -> list[Atom]:
-    """Value atoms only: ``X@1=5,Y@0=(a,b)``."""
+def _parse_list(model: Model, text: str, kind: type, refusal: str) -> list:
     out = []
     for part, off in split_top(text, ","):
         if not part.strip():
             raise InterventionSyntax("empty atom", position=off)
         atom = _parse_one_atom(model, part, off)
-        if isinstance(atom, RewriteAtom):
-            raise InterventionSyntax("rewrite atoms are not allowed here", position=off)
+        if not isinstance(atom, kind):
+            raise InterventionSyntax(refusal, position=off)
         out.append(atom)
     return out
+
+
+def parse_atoms(model: Model, text: str) -> list[Atom]:
+    """Value atoms only: ``X@1=5,Y@0=(a,b)``."""
+    return _parse_list(model, text, Atom, "rewrite atoms are not allowed here")
 
 
 def parse_rewrites(model: Model, text: str) -> list[RewriteAtom]:
     """Rewrite atoms only: ``X@3(X=1)=0``."""
-    out = []
-    for part, off in split_top(text, ","):
-        if not part.strip():
-            raise InterventionSyntax("empty atom", position=off)
-        atom = _parse_one_atom(model, part, off)
-        if isinstance(atom, Atom):
-            raise InterventionSyntax("expected a rewrite atom with a (row)", position=off)
-        out.append(atom)
-    return out
+    return _parse_list(model, text, RewriteAtom, "expected a rewrite atom with a (row)")
 
 
-def parse_timed(model: Model, text: str) -> list[tuple[VarId, int, Value]]:
-    """Timed assignments for outcomes; same shape as value atoms."""
-    return [(a.var, a.step, a.value) for a in parse_atoms(model, text)]
+def parse_timed(model: Model, text: str) -> list[Atom]:
+    """Timed assignments for outcomes: value atoms, each equal to its (var, step, value)."""
+    return parse_atoms(model, text)
 
 
 def parse_root(model: Model, payload) -> Configuration:

@@ -11,10 +11,10 @@ rewrite targets the same row.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_NODE_CAP,
@@ -41,9 +41,9 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Atom:
-    """Pin ``var`` to ``value`` at ``step``."""
+class Atom(NamedTuple):
+    """Pin ``var`` to ``value`` at ``step``; equal to the timed assignment
+    ``(var, step, value)`` that ``holds`` and ``first_witness`` read."""
 
     var: VarId
     step: int
@@ -71,49 +71,35 @@ class RewriteAtom:
         return f"{self.var.render()}@{self.step}({inner})={render_value(self.value)}"
 
 
+def _distinct(atoms: Iterable, cell) -> tuple:
+    """The atoms, refusing a negative step or two atoms on one ``cell(atom)``."""
+    atoms, seen = tuple(atoms), set()
+    for a in atoms:
+        if a.step < 0:
+            raise StepBeyondDepth(f"negative step in {a.render()}")
+        if cell(a) in seen:
+            raise DuplicateAtom(a.render())
+        seen.add(cell(a))
+    return atoms
+
+
 class InterventionSpec:
     def __init__(self, atoms: Iterable[Atom]):
-        self.atoms = tuple(atoms)
-        seen = set()
-        for a in self.atoms:
-            if a.step < 0:
-                raise StepBeyondDepth(f"negative step in {a.render()}")
-            key = (a.var, a.step)
-            if key in seen:
-                raise DuplicateAtom(a.render())
-            seen.add(key)
-
-    def by_step(self) -> dict[int, dict[VarId, Value]]:
-        out: dict[int, dict[VarId, Value]] = {}
-        for a in self.atoms:
-            out.setdefault(a.step, {})[a.var] = a.value
-        return out
-
-    def render(self) -> str:
-        return ",".join(a.render() for a in self.atoms)
+        self.atoms = _distinct(atoms, lambda a: (a.var, a.step))
 
 
 class StructureInterventionSpec:
     def __init__(self, atoms: Iterable[RewriteAtom]):
-        self.atoms = tuple(atoms)
-        seen = set()
-        for a in self.atoms:
-            if a.step < 0:
-                raise StepBeyondDepth(f"negative step in {a.render()}")
-            key = (a.var, a.step, a.row)
-            if key in seen:
-                raise DuplicateAtom(a.render())
-            seen.add(key)
+        self.atoms = _distinct(atoms, lambda a: (a.var, a.step, a.row))
 
 
-def _check_atom(model: Model, atom: Atom):
+def _check_atom(model: Model, atom: Atom | RewriteAtom):
     if atom.value not in model.signature.range_of(atom.var):  # raises UnknownVariable
         raise OutOfRangeValue(atom.render())
 
 
 def _check_rewrite(model: Model, atom: RewriteAtom):
-    if atom.value not in model.signature.range_of(atom.var):  # raises UnknownVariable
-        raise OutOfRangeValue(atom.render())
+    _check_atom(model, atom)
     domain = model.domain_of(atom.var)
     row_vars = [v for v, _ in atom.row]
     if sorted(row_vars, key=lambda v: v.key) != sorted(set(domain), key=lambda v: v.key):
@@ -135,11 +121,12 @@ def _override_root(model: Model, root: Configuration, pins: Mapping[VarId, Value
 
 def _pinned(model: Model, root: Configuration, spec: InterventionSpec, depth: int):
     """The intervened root and the ``forced_fn`` that pins every later step."""
+    by_step: dict[int, dict[VarId, Value]] = {}
     for atom in spec.atoms:
         _check_atom(model, atom)
         if atom.step > depth:
             raise StepBeyondDepth(f"{atom.render()} exceeds depth {depth}")
-    by_step = spec.by_step()
+        by_step.setdefault(atom.step, {})[atom.var] = atom.value
     return _override_root(model, root, by_step.get(0, {})), lambda step, parent: by_step.get(step)
 
 
@@ -206,31 +193,75 @@ class CauseVerdict:
     witness: dict = field(default_factory=dict)
 
 
-def _alternatives(model: Model, atoms: Sequence[Atom]):
-    """All value vectors over the atoms' coordinates, actual vector excluded."""
+def _cone(model: Model, outcome: Sequence[TimedAssignment], horizon: int):
+    """Per step 0..horizon, the variables whose value there can change the verdict
+    (a pin elsewhere cannot: do-calculus rule 3); None when an unbounded family
+    cannot list its members that can die."""
+    sig, mortal = model.signature, []
+    for name in [p.name for p in sig.plain] + [f.name for f in sig.families]:
+        eq, fam = model.equations.get(name), sig.family(name)
+        members = None if eq is None else eq.mortal(model, name)
+        if members is None:
+            if fam is not None and not fam.bounded:
+                return None
+            members = (None,) if fam is None else range(fam.lo, fam.hi + 1)
+        mortal.extend(VarId(name, i) for i in members)
+    cone = [set() for _ in range(horizon + 1)]
+    for var, step, _ in outcome:
+        cone[step].add(var)
+    for step in range(horizon, 0, -1):
+        cone[step].update(mortal)  # a pin skips its equation: it can rescue a dying branch
+        for var in cone[step]:
+            cone[step - 1].update(model.domain_of(var))
+    return cone
+
+
+def _verdicts(model: Model, succ, root: Configuration, outcome, mode: str, node_cap: int, cache):
+    """``verdict(pins)``: whether the outcome holds in ``mode`` under the pins.
+
+    Pins outside the outcome's backward cone (``_cone``) or after its last
+    step cannot change the verdict, so it is read once per set of the other
+    pins, off their tree through the query's one successor memo, and kept in
+    ``cache`` ({pins: verdict}). When that tree outgrows the node cap, the
+    pins' own tree is tried before BudgetExceeded is let out.
+    """
+    if not outcome:
+        raise ValueError("outcome must be non-empty")
+    for atom in map(Atom._make, outcome):  # a plain (var, step, value) is checked as its Atom
+        InterventionSpec([atom])  # rejects a negative step
+        _check_atom(model, atom)
+    horizon = max(step for _, step, _ in outcome)
+    cone = _cone(succ.model, outcome, horizon)
+
+    def holds(pins: tuple[Atom, ...]) -> bool:
+        depth = max([horizon] + [a.step for a in pins])
+        tree = _pinned_tree(model, succ, root, InterventionSpec(pins), depth, node_cap)
+        return tree.holds(outcome, mode)
+
+    def verdict(pins: Sequence[Atom]) -> bool:
+        pins = tuple(pins)
+        live = tuple(
+            a for a in pins
+            if cone is None or a.step < 0 or a.step <= horizon and a.var in cone[a.step]
+        )
+        if live not in cache:
+            try:
+                cache[live] = holds(live)
+            except BudgetExceeded:
+                if live == pins:
+                    raise
+                return holds(pins)  # the pruned pins may keep the tree under the cap
+        return cache[live]
+
+    return verdict
+
+
+def _prevents(model: Model, verdict, atoms: Sequence[Atom]) -> dict | None:
+    """First alternative vector whose intervention kills the outcome everywhere."""
     actual = tuple(a.value for a in atoms)
     pools = [sorted(model.signature.range_of(a.var), key=value_key) for a in atoms]
     for combo in itertools.product(*pools):
-        if combo != actual:
-            yield combo
-
-
-def _prevents(
-    model: Model,
-    succ,
-    root: Configuration,
-    atoms: Sequence[Atom],
-    outcome: Sequence[Atom],
-    node_cap: int,
-) -> dict | None:
-    """First alternative vector whose intervention kills the outcome everywhere."""
-    depth = max([a.step for a in atoms] + [a.step for a in outcome])
-    timed = [(a.var, a.step, a.value) for a in outcome]
-    for combo in _alternatives(model, atoms):
-        spec = InterventionSpec(
-            [Atom(a.var, a.step, v) for a, v in zip(atoms, combo)]
-        )
-        if not _pinned_tree(model, succ, root, spec, depth, node_cap).holds(timed):
+        if combo != actual and not verdict([a._replace(value=v) for a, v in zip(atoms, combo)]):
             return {a.render(): render_value(v) for a, v in zip(atoms, combo)}
     return None
 
@@ -251,31 +282,33 @@ def is_cause(
     assignment to all candidate coordinates makes the outcome fail on every
     branch; (3) no proper non-empty sub-assignment already manages (2).
     Every tree is read from its per-step reachable sets (``reach_layers``),
-    with one successor memo for the whole query.
+    with one successor memo for the whole query; alternatives are answered
+    as sweep rows are (``_verdicts``).
     """
     candidate = list(candidate)
     outcome = list(outcome)
-    if not candidate or not outcome:
-        raise ValueError("candidate and outcome must be non-empty")
+    if not candidate:
+        raise ValueError("candidate must be non-empty")
     InterventionSpec(candidate)  # step/duplicate checks
-    for a in list(candidate) + list(outcome):
+    for a in candidate:
         _check_atom(model, a)
 
     succ = memo_successors(model)
+    known: dict = {}
+    verdict = _verdicts(model, succ, root, outcome, "some", node_cap, known)
     horizon = max(a.step for a in candidate + outcome)
     base = reach_layers(succ, root, horizon, node_cap=node_cap)
-    cand_t = [(a.var, a.step, a.value) for a in candidate]
-    out_t = [(a.var, a.step, a.value) for a in outcome]
     if same_branch:
-        actual = base.first_witness(cand_t + out_t)
+        actual = base.first_witness(candidate + outcome)
     else:
-        actual = base.first_witness(out_t)
-        if not base.holds(cand_t):
+        actual = base.first_witness(outcome)
+        if not base.holds(candidate):
             return CauseVerdict(False, failing_condition=1)
     if actual is None:
         return CauseVerdict(False, failing_condition=1)
+    known[()] = True  # the outcome is actual, so pins it cannot see leave it holding
 
-    preventing = _prevents(model, succ, root, candidate, outcome, node_cap)
+    preventing = _prevents(model, verdict, candidate)
     if preventing is None:
         return CauseVerdict(False, failing_condition=2)
 
@@ -283,7 +316,7 @@ def is_cause(
     for size in range(1, n):
         for subset in itertools.combinations(range(n), size):
             sub = [candidate[i] for i in subset]
-            alt = _prevents(model, succ, root, sub, outcome, node_cap)
+            alt = _prevents(model, verdict, sub)
             if alt is not None:
                 return CauseVerdict(
                     False,
@@ -329,29 +362,6 @@ class SweepReport:
         return out
 
 
-def _cone(model: Model, outcome: Sequence[TimedAssignment], horizon: int):
-    """Per step 0..horizon, the variables whose value there can change the verdict
-    (a pin elsewhere cannot: do-calculus rule 3); None when an unbounded family
-    cannot list its members that can die."""
-    sig, mortal = model.signature, []
-    for name in [p.name for p in sig.plain] + [f.name for f in sig.families]:
-        eq, fam = model.equations.get(name), sig.family(name)
-        members = None if eq is None else eq.mortal(model, name)
-        if members is None:
-            if fam is not None and not fam.bounded:
-                return None
-            members = (None,) if fam is None else range(fam.lo, fam.hi + 1)
-        mortal.extend(VarId(name, i) for i in members)
-    cone = [set() for _ in range(horizon + 1)]
-    for var, step, _ in outcome:
-        cone[step].add(var)
-    for step in range(horizon, 0, -1):
-        cone[step].update(mortal)  # a pin skips its equation: it can rescue a dying branch
-        for var in cone[step]:
-            cone[step - 1].update(model.domain_of(var))
-    return cone
-
-
 def sweep(
     model: Model,
     root: Configuration,
@@ -367,12 +377,10 @@ def sweep(
 
     Each row pins ``k_faults`` cells to alternative values and reports whether
     the outcome predicate still holds; a row is critical when the verdict
-    differs from the unintervened baseline. Pins outside the outcome's
-    backward cone (``_cone``) or after its last step cannot change the verdict,
-    so a row takes the verdict of its other pins, computed once per set of
-    pins through one successor memo. When that tree and the row's own both
-    outgrow the node cap, the report is returned truncated with the rows
-    finished so far."""
+    differs from the unintervened baseline. Rows are answered through one
+    ``_verdicts``, which skips the pins that cannot change the verdict. When
+    a row's tree outgrows the node cap, the report is returned truncated with
+    the rows finished so far."""
     if k_faults not in (1, 2):
         raise ValueError("k_faults must be 1 or 2")
     if not variables:
@@ -380,24 +388,16 @@ def sweep(
     for var in variables:
         if not model.signature.is_declared(var):
             raise UnknownVariable(var.render())
-    if not outcome:
-        raise ValueError("sweep outcome must be non-empty")
-    for atom in itertools.starmap(Atom, outcome):
-        InterventionSpec([atom])  # rejects a negative step
-        _check_atom(model, atom)
+    verdict = _verdicts(model, memo_successors(model), root, outcome, mode, node_cap, {})
     if not all(a < b for a, b in zip(steps, itertools.islice(steps, 1, None))):
         steps = sorted(set(steps))  # ascending steps (a range, formats.Steps) are read in place
-    succ = memo_successors(model)
-    horizon = max(s for _, s, _ in outcome)
-    baseline = reach_layers(succ, root, horizon, node_cap=node_cap).holds(outcome, mode)
+    baseline = verdict(())
 
     cells = [
         (var, step)
         for var in sorted(set(variables), key=lambda v: v.key)
         for step in steps
     ]
-    cone = _cone(succ.model, outcome, horizon)
-    live = {(v, s) for v, s in cells if cone is None or s < 0 or s <= horizon and v in cone[s]}
     singles = [
         Atom(var, step, value)
         for var, step in cells
@@ -412,27 +412,11 @@ def sweep(
             if (a.var, a.step) != (b.var, b.step)
         ]
 
-    verdicts = {(): baseline}
     rows: list[SweepRow] = []
-    truncated = False
     for atoms in combos:
-        key = tuple(a for a in atoms if (a.var, a.step) in live)
-        verdict = verdicts.get(key)
-        # if the remaining pins' tree outgrows the node cap, the row's own may not
-        for pins in dict.fromkeys((key, atoms)) if verdict is None else ():
-            depth = max([horizon] + [a.step for a in pins])
-            with contextlib.suppress(BudgetExceeded):
-                tree = _pinned_tree(model, succ, root, InterventionSpec(pins), depth, node_cap)
-                verdict = verdicts[pins] = tree.holds(outcome, mode)
-                break
-        if verdict is None:
-            truncated = True
-            break
-        rows.append(
-            SweepRow(
-                atoms=tuple(atoms),
-                outcome_holds=verdict,
-                classification="critical" if verdict != baseline else "inert",
-            )
-        )
-    return SweepReport(baseline, mode, rows, truncated)
+        try:
+            held = verdict(atoms)
+        except BudgetExceeded:
+            return SweepReport(baseline, mode, rows, truncated=True)
+        rows.append(SweepRow(atoms, held, "critical" if held != baseline else "inert"))
+    return SweepReport(baseline, mode, rows)

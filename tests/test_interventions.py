@@ -1,7 +1,10 @@
 import collections
 import contextlib
 import io
+import itertools
 import random
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +27,7 @@ from causalcalc import (
     is_cause,
     sweep,
 )
-from causalcalc import core
+from causalcalc import cli, compilers, core, formats, interventions
 from causalcalc.cli import main
 from causalcalc.compilers import TmCellRule, TmStateRule, compile_lba, compile_ntm, compile_tm
 from causalcalc.errors import (
@@ -38,6 +41,7 @@ from causalcalc.errors import (
 from causalcalc.formats import dumps_canonical, model_to_json
 from causalcalc.interventions import _cone
 
+import oracle_cause
 import oracle_sweep
 from test_layers import random_model
 
@@ -291,6 +295,207 @@ def test_cause_query_validates_its_atoms(counter):
         is_cause(counter, root, [Atom(X, 0, 8), Atom(X, 0, 0)], [Atom(X, 1, 0)])
     with pytest.raises(OutOfRangeValue):
         is_cause(counter, root, [Atom(X, 0, 8)], [Atom(X, 1, 42)])
+
+
+def test_cause_checks_its_outcome_as_sweep_does(counter):
+    root = counter.configuration({X: 8})
+    with pytest.raises(StepBeyondDepth):
+        is_cause(counter, root, [Atom(X, 0, 8)], [Atom(X, -1, 2)])
+    # a repeated outcome atom stays allowed in both queries
+    twice = [Atom(X, 2, 9), Atom(X, 2, 9)]
+    assert is_cause(counter, root, [Atom(X, 0, 8)], twice) == is_cause(
+        counter, root, [Atom(X, 0, 8)], twice[:1]
+    )
+    assert sweep(counter, root, variables=[X], steps=[0], outcome=twice) == sweep(
+        counter, root, variables=[X], steps=[0], outcome=twice[:1]
+    )
+
+
+def _count_trees(monkeypatch):
+    """The depth of every tree ``interventions`` unfolds, in call order."""
+    depths = []
+    original = interventions.reach_layers
+
+    def spy(succ, root, depth, **kwargs):
+        depths.append(depth)
+        return original(succ, root, depth, **kwargs)
+
+    monkeypatch.setattr(interventions, "reach_layers", spy)
+    return depths
+
+
+def test_cause_builds_no_tree_for_pins_outside_the_outcome_cone(two_var, monkeypatch):
+    """A reads B's old value, so A@0 is outside the cone of A@1: an alternative
+    that moves A@0 alone leaves the outcome as it actually is."""
+    A, B = VarId("A"), VarId("B")
+    root = two_var.configuration({A: 0, B: 0})
+    trees = _count_trees(monkeypatch)
+    verdict = is_cause(two_var, root, [Atom(A, 0, 0)], [Atom(A, 1, 0)])
+    assert (verdict.is_cause, verdict.failing_condition) == (False, 2)
+    assert trees == [1]  # the actual tree only
+    trees.clear()
+    verdict = is_cause(two_var, root, [Atom(A, 0, 0), Atom(B, 0, 0)], [Atom(A, 1, 0)])
+    assert (verdict.failing_condition, verdict.witness) == (
+        3, {"sufficient_subset": ["B@0=0"], "preventing": {"B@0=0": "1"}}
+    )
+    # the actual tree and B@0=1's, which also answers (A@0=0, B@0=1); the
+    # subset {A@0} builds none
+    assert trees == [1, 1]
+
+
+def test_cause_finishes_where_a_tree_per_alternative_outgrows_the_cap():
+    """A branches only once it is 1 and never reaches O, so the alternative
+    A@0=1 grows a tree of 10 nodes to step 3, past a cap of 5, while the
+    actual tree has 4; pruned to the outcome's cone it builds none."""
+    O, A = VarId("O"), VarId("A")
+    sig = Signature(plain=[PlainVar(n, frozenset({0, 1})) for n in "OA"],
+                    domains={"O": (O,), "A": (A,)})
+    model = Model(sig, {"O": TableEquation({(0,): {0}, (1,): {1}}),
+                        "A": TableEquation({(0,): {0}, (1,): {0, 1}})})
+    root = model.configuration({O: 0, A: 0})
+    with pytest.raises(BudgetExceeded):
+        apply_intervention(model, root, InterventionSpec([Atom(A, 0, 1)]), 3, node_cap=5)
+    verdict = is_cause(model, root, [Atom(A, 0, 0)], [Atom(O, 3, 0)], node_cap=5)
+    task = _oracle_task(model, {"O": [0, 1], "A": [0, 1]})
+    assert (verdict.is_cause, verdict.failing_condition) == oracle_cause.brute_is_cause(
+        task, {"O": 0, "A": 0}, [("A", 0, 0)], [("O", 3, 0)]
+    ) == (False, 2)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _trees_per_alternative(model, root, candidate, outcome):
+    """The trees a cause query costs with one tree per alternative: the actual
+    tree, then one per alternative the but-for loop tries (conditions 2, 3)."""
+    if not expand_tree(model, root, max(a.step for a in candidate + outcome)).holds(
+        candidate + outcome
+    ):
+        return 1
+    trees = 1
+
+    def prevents(atoms):
+        nonlocal trees
+        depth = max(a.step for a in atoms + outcome)
+        pools = [sorted(model.signature.range_of(a.var), key=core.value_key) for a in atoms]
+        for combo in itertools.product(*pools):
+            if combo != tuple(a.value for a in atoms):
+                trees += 1
+                pins = InterventionSpec([a._replace(value=v) for a, v in zip(atoms, combo)])
+                if not apply_intervention(model, root, pins, depth).holds(outcome):
+                    return True
+        return False
+
+    if prevents(candidate):
+        for size in range(1, len(candidate)):
+            if any(prevents(list(sub)) for sub in itertools.combinations(candidate, size)):
+                break
+    return trees
+
+
+def test_bench_cause_lines_build_no_more_trees_than_one_per_alternative(monkeypatch, tmp_path):
+    """Each of the benchmark's cause command lines, at five seeds, builds at
+    most the trees that one tree per alternative costs, and pruned pins make
+    it fewer on some lines."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    trees = _count_trees(monkeypatch)
+    pkg = SimpleNamespace(cli=cli, compilers=compilers, core=core, formats=formats)
+    lines = fewer = 0
+    for seed in range(1, 6):
+        work = tmp_path / str(seed)
+        work.mkdir()
+        for op in workloads.counterfactual(pkg, random.Random(seed), work):
+            if op.argv is None or op.argv[0] != "cause":
+                continue
+            trees.clear()
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(op.argv) == 0
+            assert op.check(out.getvalue()), op.argv
+            built = len(trees)
+            args = cli._build_parser().parse_args(op.argv)
+            calc, model = cli._load_model(args.model)
+            budget = _trees_per_alternative(
+                model,
+                cli._make_root(calc, model, args),
+                formats.parse_atoms(model, args.candidate),
+                formats.parse_atoms(model, args.outcome),
+            )
+            assert built <= budget, op.argv
+            lines += 1
+            fewer += built < budget
+    assert lines == 85 and fewer >= 10
+
+
+def _oracle_task(model, ranges):
+    return {
+        "variables": ranges,
+        "domains": {n: [d.name for d in model.domain_of(VarId(n))] for n in ranges},
+        "tables": {n: model.equations[n].rows for n in ranges},
+    }
+
+
+def _oracle_is_cause(task, root, candidate, outcome, same_branch):
+    """``oracle_cause.brute_is_cause``, with each side actual on its own branch
+    unless ``same_branch``; candidates have at most two atoms."""
+    if same_branch:
+        return oracle_cause.brute_is_cause(task, root, candidate, outcome)
+    depth = max(s for _, s, _ in candidate + outcome)
+    if not all(oracle_cause.holds_somewhere(task, root, depth, t) for t in (candidate, outcome)):
+        return False, 1
+    if oracle_cause.prevented(task, root, candidate, outcome) is None:
+        return False, 2
+    if len(candidate) > 1 and any(oracle_cause.prevented(task, root, [a], outcome) for a in candidate):
+        return False, 3
+    return True, None
+
+
+def test_cause_matches_the_oracle_where_the_cone_prunes_alternatives():
+    """Random table models whose rows can die, one- and two-atom candidates
+    (some pinned after the outcome), both actuality modes, random node caps."""
+    rng = random.Random(20261021)
+    answered = pruned = capped = 0
+    for _ in range(400):
+        model, root, ranges = random_model(rng)
+        task, names = _oracle_task(model, ranges), sorted(ranges)
+        start = {v.name: x for v, x in root.support}
+        horizon = rng.randint(0, 3 if len(names) <= 2 else 2)
+        branch = rng.choice(oracle_cause.branches(task, start, horizon + 1))
+
+        def pick(max_step):
+            step, name = rng.randint(0, max_step), rng.choice(names)
+            if rng.random() < 0.6 and step < len(branch):
+                return (name, step, branch[step][name])
+            return (name, step, rng.choice(ranges[name]))
+
+        outcome = [pick(horizon)]
+        candidate = [pick(horizon + 1) for _ in range(rng.randint(1, 2))]
+        if len(candidate) == 2 and candidate[0][:2] == candidate[1][:2]:
+            candidate.pop()
+        same_branch = rng.random() < 0.5
+        node_cap = rng.randint(1, 60) if rng.random() < 0.3 else core.DEFAULT_NODE_CAP
+        try:
+            got = is_cause(
+                model,
+                root,
+                [Atom(VarId(n), s, v) for n, s, v in candidate],
+                [Atom(VarId(n), s, v) for n, s, v in outcome],
+                same_branch=same_branch,
+                node_cap=node_cap,
+            )
+        except BudgetExceeded:
+            continue
+        want = _oracle_is_cause(task, start, candidate, outcome, same_branch)
+        assert (got.is_cause, got.failing_condition) == want, (task, start, candidate, outcome)
+        answered += 1
+        capped += node_cap < core.DEFAULT_NODE_CAP
+        cone = _cone(model, [(VarId(n), s, v) for n, s, v in outcome], outcome[0][1])
+        pruned += want[1] != 1 and any(
+            s > outcome[0][1] or VarId(n) not in cone[s] for n, s, _ in candidate
+        )
+    assert answered > 300 and pruned > 60 and capped > 40
 
 
 # ---------------------------------------------------------- sweeps
