@@ -70,7 +70,7 @@ from .compilers import (
     compile_tm,
     decode_config,
     edge_label,
-    encode_tm_config,
+    encode_config,
     initial_calc_config,
 )
 from .equivalence import (

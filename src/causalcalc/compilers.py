@@ -20,7 +20,6 @@ frame: where it sits on the tape and the move into the node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .core import (
     DEFAULT_NODE_CAP,
@@ -34,6 +33,7 @@ from .core import (
     Signature,
     VarId,
     memo_successors,
+    render_value,
 )
 from .errors import (
     InvalidMachineKind,
@@ -48,6 +48,7 @@ from .machines import (
     TapeConfig,
     closure_run,
     initial_machine_config,
+    machine_step,
     require_valid,
 )
 
@@ -108,28 +109,28 @@ class _MachineRule(_Compiled, RuleEquation):
 
 
 class LbaWindowRule(_MachineRule):
-    """Def-style window equations over the bounded cell family."""
+    """Def-style window equations over the cell family; the lba's window is
+    walled at ``-n-1`` and ``n+1``, the ntm's (``n`` is None) is unbounded."""
 
     builtin = "lba_window_step"
     mortal_members = (0,)  # δ_f can be empty at the head triple; cells only shift
 
     def domain_of(self, index: int | None) -> tuple[VarId, ...]:
-        w = self.n + 1
-        if index is None or not -w <= index <= w:
+        w = None if self.n is None else self.n + 1
+        if index is None:
+            raise ValueError(f"{CELL} is a family; a member index is required")
+        if w is not None and not -w <= index <= w:
             raise ValueError(f"{CELL}_{index} outside the window")
         if index == 0:
             return (VarId(CELL, -1), HEAD_ID, VarId(CELL, 1))
-        if index == w:
-            return (HEAD_ID, VarId(CELL, w - 1), VarId(CELL, w))
-        if index == -w:
-            return (HEAD_ID, VarId(CELL, -w), VarId(CELL, -w + 1))
-        return (HEAD_ID, VarId(CELL, index - 1), VarId(CELL, index), VarId(CELL, index + 1))
+        # a wall cell has no outer neighbor; the head triple is listed once
+        near = [j for j in (index - 1, index, index + 1) if j != 0 and (w is None or -w <= j <= w)]
+        return (HEAD_ID, *(VarId(CELL, j) for j in near))
 
     def outputs(self, index, view) -> frozenset:
         state, written, move = view[HEAD_ID]
         if index == 0:
-            neighbor = view[VarId(CELL, move)]
-            scanned = written if move == 0 else neighbor
+            scanned = written if move == 0 else view[VarId(CELL, move)]
             return frozenset(delta_f_image(self.spec, state, scanned))
         n, j = self.n, index + move
         if n is not None and not -n - 1 <= j <= n + 1:
@@ -142,53 +143,14 @@ class LbaWindowRule(_MachineRule):
 
 
 class NtmWindowRule(LbaWindowRule):
-    """Unbounded variant of the window equations; no wall cells (``n`` is None)."""
-
     builtin = "ntm_window_step"
 
-    def domain_of(self, index: int | None) -> tuple[VarId, ...]:
-        if index is None:
-            raise ValueError(f"{CELL} is a family; a member index is required")
-        if index == 0:
-            return (VarId(CELL, -1), HEAD_ID, VarId(CELL, 1))
-        out = [HEAD_ID]
-        for j in (index - 1, index, index + 1):
-            if j != 0:
-                out.append(VarId(CELL, j))
-        return tuple(out)
 
+class _TmRule(_MachineRule):
+    """The tm's state (index None) and head-relative cells, both read off the
+    one δ_f move from (S, X_0); the frame re-centers every step."""
 
-class TmStateRule(_MachineRule):
-    builtin = "tm_state_step"
     mortal_members = ()  # δ is total on a valid tm spec and final states loop
-
-    def domain_of(self, index):
-        if index is not None:
-            raise ValueError(f"{STATE} is plain")
-        return (STATE_ID, HEAD_ID)
-
-    def outputs(self, index, view) -> frozenset:
-        state, scanned = view[STATE_ID], view[HEAD_ID]
-        entries = self.spec.delta_f(state, scanned)
-        if not entries:
-            raise StuckConfiguration(f"no move from ({state},{scanned})")
-        return frozenset(t.dst for t in entries)
-
-
-class TmCellRule(_MachineRule):
-    """Head-relative cell shift; the machine frame re-centers every step."""
-
-    builtin = "tm_cell_step"
-    mortal_members = ()
-
-    def domain_of(self, index: int | None) -> tuple[VarId, ...]:
-        if index is None:
-            raise ValueError(f"{CELL} is a family; a member index is required")
-        out = [HEAD_ID, STATE_ID]
-        for j in (index - 1, index, index + 1):
-            if j != 0:
-                out.append(VarId(CELL, j))
-        return tuple(out)
 
     def outputs(self, index, view) -> frozenset:
         state, scanned = view[STATE_ID], view[HEAD_ID]
@@ -196,11 +158,32 @@ class TmCellRule(_MachineRule):
         if not entries:
             raise StuckConfiguration(f"no move from ({state},{scanned})")
         t = entries[0]
+        if index is None:
+            return frozenset([t.dst])
         if index == -t.move:
             # the cell just written lands opposite the move after re-centering
             # (a final state's loop writes the scanned cell back in place)
             return frozenset([t.write])
         return frozenset([view[VarId(CELL, index + t.move)]])
+
+
+class TmStateRule(_TmRule):
+    builtin = "tm_state_step"
+
+    def domain_of(self, index):
+        if index is not None:
+            raise ValueError(f"{STATE} is plain")
+        return (STATE_ID, HEAD_ID)
+
+
+class TmCellRule(_TmRule):
+    builtin = "tm_cell_step"
+
+    def domain_of(self, index: int | None) -> tuple[VarId, ...]:
+        if index is None:
+            raise ValueError(f"{CELL} is a family; a member index is required")
+        near = (j for j in (index - 1, index, index + 1) if j != 0)
+        return (HEAD_ID, STATE_ID, *(VarId(CELL, j) for j in near))
 
 
 class WholeConfigRange(_Compiled, LazyRange):
@@ -224,6 +207,11 @@ class WholeConfigRange(_Compiled, LazyRange):
     def size(self) -> int:
         return len(self.spec.states) * (self.n + 2) * len(self.spec.tape_alphabet) ** self.n
 
+    def typed(self, value):  # strings but for the head, an int
+        if not isinstance(value, tuple):
+            return value
+        return tuple(v if i == 1 else render_value(v) for i, v in enumerate(value))
+
 
 class WholeConfigRule(_MachineRule):
     builtin = "lba_whole_config_step"
@@ -235,13 +223,8 @@ class WholeConfigRule(_MachineRule):
 
     def outputs(self, index, view) -> frozenset:
         value = view[WHOLE_ID]
-        state, head, tape = value[0], value[1], list(value[2:])
-        out = []
-        for t in self.spec.delta_f(state, tape[head]):
-            nxt = list(tape)
-            nxt[head] = t.write
-            out.append((t.dst, head + t.move, *nxt))
-        return frozenset(out)
+        m = LbaConfig(value[0], value[1], value[2:])
+        return frozenset((c.state, c.head, *c.tape) for c, _, _ in machine_step(self.spec, m))
 
 
 def _check_compile(spec: MachineSpec, kind: str, tape_len: int | None = None) -> None:
@@ -325,30 +308,22 @@ def compile_machine(spec: MachineSpec, *, tape_len: int | None = None, monolithi
 
 
 def initial_calc_config(calc: CalculatorModel, input_str: str) -> Configuration:
-    spec = calc.machine
-    m = initial_machine_config(spec, input_str, calc.tape_len)
+    return encode_config(calc, initial_machine_config(calc.machine, input_str, calc.tape_len))
+
+
+def encode_config(calc: CalculatorModel, m) -> Configuration:
+    """The node of ``calc`` that denotes machine configuration ``m``, with the
+    frame on the head and no move recorded yet."""
+    if not isinstance(m, LbaConfig if calc.kind in ("lba", "lba_mono") else TapeConfig):
+        raise MalformedConfig(f"{type(m).__name__} asked of a {calc.kind} calculator")
     if calc.kind == "lba_mono":
         return calc.model.configuration({WHOLE_ID: (m.state, m.head, *m.tape)})
+    cells = {i - m.head: g for i, g in enumerate(m.tape)} if calc.kind == "lba" else dict(m.cells)
+    assign = {VarId(CELL, i): g for i, g in cells.items()}
     if calc.kind == "tm":
-        return encode_tm_config(calc, m)
-    # window encodings: the head triple holds the scanned symbol and no move yet
-    if calc.kind == "lba":
-        scanned, cells = m.tape[m.head], enumerate(m.tape)
-    else:
-        scanned, cells = m.cell(0, spec.blank), m.cells
-    assign = {HEAD_ID: (spec.initial, scanned, 0)}
-    for i, g in cells:
-        if i != 0:
-            assign[VarId(CELL, i)] = g
-    return calc.model.configuration(assign)
-
-
-def encode_tm_config(calc: CalculatorModel, m: TapeConfig) -> Configuration:
-    if calc.kind != "tm":
-        raise MalformedConfig(f"tm encoding asked of a {calc.kind} calculator")
-    assign = {STATE_ID: m.state}
-    for i, g in m.cells:
-        assign[VarId(CELL, i)] = g
+        assign[STATE_ID] = m.state
+    else:  # the head triple holds the scanned symbol
+        assign[HEAD_ID] = (m.state, cells.get(0, calc.machine.blank), 0)
     return calc.model.configuration(assign)
 
 

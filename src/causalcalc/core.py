@@ -19,6 +19,7 @@ from .errors import (
     BudgetExceeded,
     MissingDomainValue,
     OutOfRangeValue,
+    RangeTooLarge,
     StepBeyondDepth,
     UnknownVariable,
     ValidationFailed,
@@ -80,9 +81,11 @@ class LazyRange:
         raise NotImplementedError
 
     def members(self) -> Iterable[Value]:
-        from .errors import RangeTooLarge
-
         raise RangeTooLarge(f"range of size {self.size()} is not enumerable")
+
+    def typed(self, value: Value) -> Value:
+        """``value`` with the types this range holds; the grammar reads digits as ints."""
+        return value
 
 
 @dataclass(frozen=True)

@@ -524,10 +524,11 @@ def resolve_value(signature: Signature, var: VarId, text: str, position: int = 0
     if value in rng:
         return value
     if isinstance(rng, frozenset):
-        by_render = {render_value(v): v for v in rng}
-        hit = by_render.get(text.strip())
-        if hit is not None:
-            return hit
+        hit = {render_value(v): v for v in rng}.get(text.strip())
+    else:
+        hit = rng.typed(value)
+    if hit in rng and render_value(hit) == text.strip():
+        return hit
     raise OutOfRangeValue(f"{var.render()} = {text.strip()}")
 
 

@@ -21,6 +21,7 @@ from .core import (
     ComputationTree,
     Configuration,
     Labeler,
+    LazyRange,
     Model,
     TimedAssignment,
     Value,
@@ -109,6 +110,12 @@ def _check_rewrite(model: Model, atom: RewriteAtom):
     for v, x in atom.row:
         if x not in model.signature.range_of(v):
             raise OutOfRangeValue(f"{v.render()}={render_value(x)} in {atom.render()}")
+
+
+def _values(model: Model, var: VarId) -> list:
+    """``var``'s values in canonical order; a lazy range refuses (RangeTooLarge)."""
+    rng = model.signature.range_of(var)
+    return sorted(rng.members() if isinstance(rng, LazyRange) else rng, key=value_key)
 
 
 def _override_root(model: Model, root: Configuration, pins: Mapping[VarId, Value]) -> Configuration:
@@ -223,7 +230,8 @@ def _verdicts(model: Model, succ, root: Configuration, outcome, mode: str, node_
     step cannot change the verdict, so it is read once per set of the other
     pins, off their tree through the query's one successor memo, and kept in
     ``cache`` ({pins: verdict}). When that tree outgrows the node cap, the
-    pins' own tree is tried before BudgetExceeded is let out.
+    cache keeps None for it, and these and later pins that share it try their
+    own tree before BudgetExceeded is let out.
     """
     if not outcome:
         raise ValueError("outcome must be non-empty")
@@ -248,9 +256,11 @@ def _verdicts(model: Model, succ, root: Configuration, outcome, mode: str, node_
             try:
                 cache[live] = holds(live)
             except BudgetExceeded:
+                cache[live] = None  # outgrew the cap: rows sharing it go to their own tree
                 if live == pins:
                     raise
-                return holds(pins)  # the pruned pins may keep the tree under the cap
+        if cache[live] is None:
+            return holds(pins)  # the pruned pins may keep the tree under the cap
         return cache[live]
 
     return verdict
@@ -259,7 +269,7 @@ def _verdicts(model: Model, succ, root: Configuration, outcome, mode: str, node_
 def _prevents(model: Model, verdict, atoms: Sequence[Atom]) -> dict | None:
     """First alternative vector whose intervention kills the outcome everywhere."""
     actual = tuple(a.value for a in atoms)
-    pools = [sorted(model.signature.range_of(a.var), key=value_key) for a in atoms]
+    pools = [_values(model, a.var) for a in atoms]
     for combo in itertools.product(*pools):
         if combo != actual and not verdict([a._replace(value=v) for a, v in zip(atoms, combo)]):
             return {a.render(): render_value(v) for a, v in zip(atoms, combo)}
@@ -401,7 +411,7 @@ def sweep(
     singles = [
         Atom(var, step, value)
         for var, step in cells
-        for value in sorted(model.signature.range_of(var), key=value_key)
+        for value in _values(model, var)
     ]
     if k_faults == 1:
         combos = [(a,) for a in singles]

@@ -39,7 +39,7 @@ from causalcalc import (
     compile_ntm,
     compile_tm,
     decode_config,
-    encode_tm_config,
+    encode_config,
     expand_tree,
     holds_at,
     is_cause,
@@ -518,7 +518,7 @@ def prop_final_states_freeze(cells, head, tape_map):
     assert [(c, d) for c, _, d in machine_step(PARITY, lba_cfg)] == [(lba_cfg, 0)]
     tm_cfg = TapeConfig("acc", tuple(sorted(tape_map.items())))
     assert [(c, d) for c, _, d in machine_step(TM, tm_cfg)] == [(tm_cfg, 0)]
-    encoded = encode_tm_config(TM_CALC, tm_cfg)
+    encoded = encode_config(TM_CALC, tm_cfg)
     assert successors(TM_CALC.model, encoded) == (encoded,)
 
 

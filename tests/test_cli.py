@@ -391,6 +391,21 @@ def test_intervene_needs_exactly_one_mode(capsys, counter_file):
     assert main(base + ["--do", "X@1=5", "--rewrite", "X@1(X=0)=1"]) == 1
 
 
+def test_intervene_on_a_monolithic_value_with_digit_symbols(capsys, tmp_path, parity_file):
+    model = str(tmp_path / "mono.json")
+    assert main(["compile", parity_file, "--tape-len", "2", "--monolithic", "--out", model]) == 0
+    base = ["--input", "11", "--depth", "1"]
+    _, run = run_json(capsys, ["run", model, *base])
+    step1 = run["nodes"][1]["assign"]["V"]
+    assert step1 == ["even", 1, ">", "1", "1", "<"]  # the tape's 1s are strings
+    code, data = run_json(capsys, ["intervene", model, *base, "--do", "V@1=(even,1,>,1,1,<)"])
+    assert code == 0
+    assert data == run
+    for value in ("(even,01,>,1,1,<)", "(even,1,>,1,7,<)", "(even,1,>,1,1)"):
+        assert main(["intervene", model, *base, "--do", f"V@1={value}"]) == 2
+        assert "OutOfRangeValue" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------- cause and sweep
 
 def test_cause_query(capsys, counter_file):
@@ -459,6 +474,24 @@ def test_sweep_truncation_exits_three(capsys, counter_file):
     )
     assert code == 3
     assert "truncated\ttrue" in capsys.readouterr().out
+
+
+def test_cause_and_sweep_over_whole_configurations_refuse_to_enumerate(
+    capsys, tmp_path, abc_spec
+):
+    spec_file, model = tmp_path / "abc.json", str(tmp_path / "abc_mono.json")
+    spec_file.write_text(dumps_canonical(machine_to_json(abc_spec)))
+    argv = ["compile", str(spec_file), "--tape-len", "3", "--monolithic", "--out", model]
+    assert main(argv) == 0
+    outcome = ["--input", "abc", "--outcome", "V@1=(fa,1,>,a,b,c,<)"]
+    for argv in (
+        ["cause", model, "--candidate", "V@0=(q0,0,>,a,b,c,<)", *outcome],
+        ["sweep", model, "--vars", "V", "--steps", "0", *outcome],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: RangeTooLarge: range of size 29160 is not enumerable\n"
 
 
 # ---------------------------------------------------------- failure modes

@@ -16,7 +16,7 @@ from causalcalc import (
     compile_tm,
     decode_config,
     edge_label,
-    encode_tm_config,
+    encode_config,
     expand_tree,
     initial_machine_config,
     machine_step,
@@ -139,7 +139,7 @@ def test_tm_encoding_round_trips(tm_spec):
         TapeConfig("ra", ((-2, "0"), (0, "1"))),
         TapeConfig("acc", ()),
     ):
-        assert decode_config(calc, encode_tm_config(calc, m)) == m
+        assert decode_config(calc, encode_config(calc, m)) == m
 
 
 def test_ntm_decode_shifts_by_the_last_label(ntm_spec):
@@ -196,7 +196,7 @@ def _final_configs(spec):
 def _encode(calc, m):
     """``m`` as a node of ``calc`` whose frame sits on the head, no move recorded."""
     if calc.kind == "tm":
-        return encode_tm_config(calc, m)
+        return encode_config(calc, m)
     if calc.kind == "lba_mono":
         return calc.model.configuration({V: (m.state, m.head, *m.tape)})
     if calc.kind == "lba":
@@ -249,7 +249,7 @@ def test_edge_labels_per_kind(tm_spec, parity_spec):
     root = tm.initial("0101")
     (child,) = successors(tm.model, root)
     assert edge_label(tm, root, child) == 1
-    acc = encode_tm_config(tm, TapeConfig("acc", ()))
+    acc = encode_config(tm, TapeConfig("acc", ()))
     assert edge_label(tm, acc, acc) == 0
 
     mono = compile_lba_monolithic(parity_spec, 2)

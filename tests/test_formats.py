@@ -292,6 +292,19 @@ def test_out_of_range_values_are_not_syntax_errors(counter):
         resolve_value(counter.signature, X, "77")
 
 
+def test_lazy_ranges_resolve_digit_symbols_by_rendering(parity_spec):
+    sig = compile_lba_monolithic(parity_spec, 2).model.signature
+    V = VarId("V")
+    assert resolve_value(sig, V, " (even,1,>,1,1,<) ") == ("even", 1, ">", "1", "1", "<")
+    assert parse_atoms(compile_lba_monolithic(parity_spec, 2).model, "V@1=(acc,0,>,1,#,<)") == [
+        Atom(V, 1, ("acc", 0, ">", "1", "#", "<"))
+    ]
+    # the match is by rendering, so the head stays an int and 01 is not 1
+    for text in ("(even,01,>,1,1,<)", "(even,1,>,1,1)", "1", "(1,1,>,1,1,<)"):
+        with pytest.raises(OutOfRangeValue):
+            resolve_value(sig, V, text)
+
+
 def test_root_parsing(counter):
     assert parse_root(counter, {"X": 8}) == counter.configuration({X: 8})
     with pytest.raises(FormatError):

@@ -29,11 +29,19 @@ from causalcalc import (
 )
 from causalcalc import cli, compilers, core, formats, interventions
 from causalcalc.cli import main
-from causalcalc.compilers import TmCellRule, TmStateRule, compile_lba, compile_ntm, compile_tm
+from causalcalc.compilers import (
+    TmCellRule,
+    TmStateRule,
+    compile_lba,
+    compile_lba_monolithic,
+    compile_ntm,
+    compile_tm,
+)
 from causalcalc.errors import (
     BudgetExceeded,
     DuplicateAtom,
     OutOfRangeValue,
+    RangeTooLarge,
     RowDomainMismatch,
     StepBeyondDepth,
     UnknownVariable,
@@ -766,6 +774,34 @@ def test_a_row_whose_live_pins_outgrow_the_cap_tries_its_own_tree():
     assert [r.atoms for r in report.rows][3] == (Atom(A, 0, 0), Atom(O, 0, 1))
 
 
+def test_pins_whose_live_part_outgrew_the_cap_build_no_second_copy_of_it(monkeypatch):
+    """The O/A model above: A is outside O's cone, so every row that pins O@t=1
+    shares the live pins (O@t=1,), whose tree outgrows the cap. That tree is
+    built once; the rows sharing it go straight to their own tree."""
+    O, A = VarId("O"), VarId("A")
+    sig = Signature(plain=[PlainVar(n, frozenset({0, 1})) for n in "OA"],
+                    domains={"O": (O,), "A": (O, A)})
+    model = Model(sig, {
+        "O": TableEquation({(0,): {0}, (1,): {1}}),
+        "A": TableEquation({(o, a): {0, 1} if o == a == 1 else {0}
+                            for o in (0, 1) for a in (0, 1)}),
+    })
+    root = model.configuration({O: 0, A: 1})
+    built, pinned_tree = [], interventions._pinned_tree
+
+    def spy(model, succ, root, spec, depth, node_cap):
+        built.append(spec.atoms)
+        return pinned_tree(model, succ, root, spec, depth, node_cap)
+
+    monkeypatch.setattr(interventions, "_pinned_tree", spy)
+    report = _check_against_oracle(model, root, variables=[O, A], steps=range(4),
+                                   outcome=[(O, 4, 0)], k_faults=2, node_cap=12)
+    assert len(report.rows) > 1
+    repeated = [pins for pins, n in collections.Counter(built).items() if n > 1]
+    assert repeated == []
+    assert (Atom(O, 0, 1),) in built
+
+
 def test_sweep_matches_the_oracle_on_random_table_models():
     rng = random.Random(20261020)
     pruned = in_horizon = rows = capped = 0
@@ -850,3 +886,13 @@ def test_tm_two_fault_sweep_builds_one_tree_per_set_of_live_pins(tmp_path, monke
                      "0..1", "--outcome", "S@5=acc", "--k", "2"])
     assert code == 0
     assert len(trees) == 1 + 351
+
+
+def test_cause_and_sweep_refuse_to_enumerate_a_lazy_range(abc_spec):
+    calc = compile_lba_monolithic(abc_spec, 3)
+    V, root = VarId("V"), calc.initial("abc")
+    outcome = [Atom(V, 1, ("fa", 1, ">", "a", "b", "c", "<"))]
+    with pytest.raises(RangeTooLarge, match="range of size 29160 is not enumerable"):
+        is_cause(calc.model, root, [Atom(V, 0, root.get(V))], outcome)
+    with pytest.raises(RangeTooLarge, match="range of size 29160 is not enumerable"):
+        sweep(calc.model, root, variables=[V], steps=[0], outcome=outcome)
